@@ -44,7 +44,7 @@ int main() {
                                                        &diff);
     std::printf("%-10s %4dx%-4d  %8lld bytes  %s\n", who,
                 v->client->framebuffer().width(), v->client->framebuffer().height(),
-                static_cast<long long>(v->conn->BytesDeliveredTo(Connection::kClient)),
+                static_cast<long long>(v->transport->BytesDeliveredTo(Connection::kClient)),
                 exact ? "pixel-exact" : "server-resized view");
   };
   std::printf("viewer     geometry       received  fidelity\n");

@@ -10,13 +10,9 @@
 #include <vector>
 
 #include "src/baselines/system.h"
-#include "src/core/thinc_client.h"
-#include "src/core/thinc_server.h"
+#include "src/core/session_stack.h"
 #include "src/device/device.h"
 #include "src/display/window_server.h"
-#include "src/net/connection.h"
-#include "src/net/loopback.h"
-#include "src/net/lossy.h"
 
 namespace thinc {
 
@@ -57,68 +53,47 @@ class ThincSystem : public RemoteDisplaySystem {
   void SetViewport(int32_t width, int32_t height) override;
 
   void SubmitAudio(std::span<const uint8_t> pcm, SimTime timestamp) override {
-    server_->SubmitAudio(pcm, timestamp);
+    stack_.server->SubmitAudio(pcm, timestamp);
   }
 
   int64_t BytesToClient() const override {
-    // Lifetime total across every transport the session has used.
-    int64_t total = conn_->BytesDeliveredTo(Transport::kClient);
-    for (const auto& c : retired_conns_) {
-      total += c->BytesDeliveredTo(Transport::kClient);
-    }
-    return total;
+    return stack_.BytesDeliveredToClient();
   }
   SimTime LastDeliveryToClient() const override {
-    return conn_->LastDeliveryTo(Transport::kClient);
+    return stack_.transport->LastDeliveryTo(Transport::kClient);
   }
   SimTime ClientLastProcessedAt() const override {
-    return client_->last_processed_at();
+    return stack_.client->last_processed_at();
   }
   const std::vector<SimTime>& VideoFrameTimes() const override;
   int64_t AudioBytesDelivered() const override;
   const Surface* ClientFramebuffer() const override {
-    return &client_->framebuffer();
+    return &stack_.client->framebuffer();
   }
 
-  // Replaces the (typically reset) transport with a fresh one — of the same
-  // kind by default, or of `kind` when given (wire <-> loopback switches
-  // model a session migrating between remote and co-located hosts; the
-  // client's decode CPU moves with the kind: loopback decodes on the host
-  // CPU, wire on the client device) — and reattaches server and client to
-  // it. The old transport is retired, not destroyed: its in-loop events may
-  // still fire (harmlessly, thanks to stale-connection guards) and its
-  // traces stay readable for per-phase stats. Returns the new transport.
+  // Replaces the (typically reset) transport with a fresh one over `link` —
+  // of the same kind by default, or of `kind` when given (wire <-> loopback
+  // switches model a session migrating between remote and co-located hosts)
+  // — through SessionStack::Rebind. Returns the new transport.
   Transport* Reconnect(const LinkParams& link,
                        std::optional<TransportKind> kind = std::nullopt);
-  TransportKind transport_kind() const { return transport_kind_; }
-  const std::vector<std::unique_ptr<Transport>>& retired_connections() const {
-    return retired_conns_;
-  }
+  TransportKind transport_kind() const { return spec_.kind; }
 
   // Direct access for tests and detailed benchmarks.
   WindowServer* window_server() { return window_server_.get(); }
-  ThincServer* server() { return server_.get(); }
-  ThincClient* client() { return client_.get(); }
-  Transport* connection() { return conn_.get(); }
-  CpuAccount* client_cpu() { return &client_cpu_; }
+  ThincServer* server() { return stack_.server.get(); }
+  ThincClient* client() { return stack_.client.get(); }
+  Transport* connection() { return stack_.transport.get(); }
+  // The client's terminal; null while a loopback session has never run
+  // remote (its client decodes on app_cpu()).
+  CpuAccount* client_cpu() { return stack_.client_cpu.get(); }
 
  private:
-  // Builds a fresh transport of this system's kind over the current link.
-  std::unique_ptr<Transport> MakeTransport();
-
-  EventLoop* loop_;
   CpuAccount server_cpu_;
-  CpuAccount client_cpu_;
-  LinkParams link_;
-  TransportKind transport_kind_;
-  LossyOptions lossy_options_;  // used when transport_kind_ == kLossy
-  std::unique_ptr<Transport> conn_;
-  // Dead transports outlive their replacement: scheduled loop events
-  // capture raw pointers into them, and robustness stats read their traces.
-  std::vector<std::unique_ptr<Transport>> retired_conns_;
-  std::unique_ptr<ThincServer> server_;
+  // The transport the next Reconnect builds: kind, link and loss model.
+  TransportSpec spec_;
+  SessionStack stack_;
   std::unique_ptr<WindowServer> window_server_;
-  std::unique_ptr<ThincClient> client_;
   InputFn input_fn_;
   mutable std::vector<SimTime> video_frame_times_;
 };

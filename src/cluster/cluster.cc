@@ -216,15 +216,7 @@ void ClusterController::SetInputCallback(int64_t gid,
 }
 
 int64_t ClusterController::BytesDeliveredToClient(int64_t gid) {
-  FleetSession* s = Resolve(gid);
-  int64_t total = 0;
-  for (const auto& t : s->retired) {
-    total += t->BytesDeliveredTo(Transport::kClient);
-  }
-  if (s->transport != nullptr) {
-    total += s->transport->BytesDeliveredTo(Transport::kClient);
-  }
-  return total;
+  return Resolve(gid)->BytesDeliveredToClient();
 }
 
 uint64_t ClusterController::ClientFramebufferHash(int64_t gid) {
@@ -235,9 +227,14 @@ size_t ClusterController::MismatchedPixels(int64_t gid) {
   FleetSession* s = Resolve(gid);
   const Surface& client = s->client->framebuffer();
   const Surface& screen = s->ws->screen();
-  size_t bad = 0;
-  for (int32_t y = 0; y < screen.height(); ++y) {
-    for (int32_t x = 0; x < screen.width(); ++x) {
+  // A viewport-scaled (phone) framebuffer is smaller than the screen: only
+  // the overlap can match; every screen pixel outside it is mismatched.
+  const int32_t w = std::min(client.width(), screen.width());
+  const int32_t h = std::min(client.height(), screen.height());
+  size_t bad = static_cast<size_t>(screen.width()) * screen.height() -
+               static_cast<size_t>(w) * h;
+  for (int32_t y = 0; y < h; ++y) {
+    for (int32_t x = 0; x < w; ++x) {
       if (client.At(x, y) != screen.At(x, y)) {
         ++bad;
       }

@@ -170,44 +170,29 @@ SharedSessionHost::~SharedSessionHost() {
 SharedSessionHost::Viewer* SharedSessionHost::AddViewer(
     const LinkParams& link, ThincServerOptions server_options,
     ThincClientOptions client_options) {
-  auto viewer = std::make_unique<Viewer>();
-  viewer->client_cpu = std::make_unique<CpuAccount>(loop_, 1.0);
-  viewer->conn = std::make_unique<Connection>(loop_, link);
-  CpuAccount* client_cpu = viewer->client_cpu.get();
-  return FinishViewer(std::move(viewer), client_cpu, server_options,
-                      client_options);
+  return Join({.link = link}, server_options, client_options);
 }
 
 SharedSessionHost::Viewer* SharedSessionHost::AddLocalViewer(
     LoopbackOptions loopback, ThincServerOptions server_options,
     ThincClientOptions client_options) {
-  auto viewer = std::make_unique<Viewer>();
-  // Co-located: frames reach the client as ref-counted handoffs, and the
-  // client decodes on the same machine the session runs on, so its work
-  // shares the host CPU instead of a remote terminal's.
-  viewer->conn = std::make_unique<LoopbackTransport>(loop_, &host_cpu_, loopback);
-  return FinishViewer(std::move(viewer), &host_cpu_, server_options,
-                      client_options);
+  return Join({.kind = TransportKind::kLoopback, .loopback = loopback},
+              server_options, client_options);
 }
 
-SharedSessionHost::Viewer* SharedSessionHost::FinishViewer(
-    std::unique_ptr<Viewer> viewer, CpuAccount* client_cpu,
-    ThincServerOptions server_options, ThincClientOptions client_options) {
-  client_options.client_pull = !server_options.server_push;
-  client_options.encrypt = server_options.encrypt;
+SharedSessionHost::Viewer* SharedSessionHost::Join(
+    const TransportSpec& spec, ThincServerOptions server_options,
+    const ThincClientOptions& client_options) {
   // All viewers share one encoded-frame cache: a frame encoded for any
   // viewer is reused (bytes and skipped CPU charge) by the rest.
   server_options.shared_frame_cache = &frame_cache_;
   // Per-viewer protocol work (translation, encode, encryption) runs on the
   // one shared host CPU — which is what bounds how many viewers one session
   // scales to.
-  viewer->server = std::make_unique<ThincServer>(loop_, viewer->conn.get(),
-                                                 &host_cpu_, server_options);
-  viewer->server->AttachWindowServer(window_server_.get());
-  viewer->client = std::make_unique<ThincClient>(
-      loop_, viewer->conn.get(), client_cpu,
-      window_server_->screen_width(), window_server_->screen_height(),
-      client_options);
+  auto viewer = std::make_unique<Viewer>();
+  viewer->Build(loop_, spec, &host_cpu_, /*client_speed=*/1.0, server_options,
+                client_options,
+                [this](ThincServer*) { return window_server_.get(); });
   viewer->server->SetInputHandler([this](Point p, int32_t) {
     // Input from any collaborator reaches the shared application.
     window_server_->InjectInput(p);

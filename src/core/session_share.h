@@ -19,11 +19,8 @@
 #include <memory>
 #include <vector>
 
-#include "src/core/thinc_client.h"
-#include "src/core/thinc_server.h"
+#include "src/core/session_stack.h"
 #include "src/display/window_server.h"
-#include "src/net/connection.h"
-#include "src/net/loopback.h"
 
 namespace thinc {
 
@@ -78,14 +75,7 @@ class BroadcastDriver : public DisplayDriver {
 // A complete shared session: the window server plus any number of viewers.
 class SharedSessionHost {
  public:
-  struct Viewer {
-    std::unique_ptr<Transport> conn;
-    std::unique_ptr<ThincServer> server;
-    std::unique_ptr<ThincClient> client;
-    // Remote viewers decode on their own terminal (1.0x); null for local
-    // viewers, whose client work lands on the shared host CPU.
-    std::unique_ptr<CpuAccount> client_cpu;
-  };
+  using Viewer = SessionStack;
 
   // `host_cpu_cores` models a K-core host: per-viewer encodes overlap
   // across cores, and large RAW encodes additionally split into parallel
@@ -121,12 +111,10 @@ class SharedSessionHost {
   void SubmitAudio(std::span<const uint8_t> pcm, SimTime timestamp);
 
  private:
-  // Shared tail of AddViewer/AddLocalViewer: builds server and client over
-  // the viewer's transport (already set) and wires them into the broadcast
-  // fan-out and the late-join refresh.
-  Viewer* FinishViewer(std::unique_ptr<Viewer> viewer, CpuAccount* client_cpu,
-                       ThincServerOptions server_options,
-                       ThincClientOptions client_options);
+  // Builds a viewer over `spec` on the shared window server and wires it
+  // into the broadcast fan-out and the late-join refresh.
+  Viewer* Join(const TransportSpec& spec, ThincServerOptions server_options,
+               const ThincClientOptions& client_options);
 
   EventLoop* loop_;
   CpuAccount host_cpu_;

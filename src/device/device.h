@@ -74,6 +74,14 @@ struct DeviceProfile {
   LossyOptions loss;
   // Which interactive input trace class drives this device.
   InputCadence cadence = InputCadence::kDesktopKeyboard;
+
+  // True when this panel differs from a `width` x `height` hosted desktop:
+  // the client then negotiates a panel-sized viewport at session start, and
+  // the server Fant-resamples every update (Section 6).
+  bool NegotiatesViewport(int32_t width, int32_t height) const {
+    return screen_width > 0 && screen_height > 0 &&
+           (screen_width != width || screen_height != height);
+  }
 };
 
 // The three canonical profiles of the device matrix.

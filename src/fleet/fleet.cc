@@ -102,17 +102,6 @@ FleetHost::Admission FleetHost::AddSession(const FleetSessionDemand& demand,
   s->demand = demand;
   s->profile = profile;
   s->prng = Prng(s->seed);
-  // Two sessions sharing a PRNG stream would correlate "independent"
-  // workloads; the derivation makes it impossible, and this check keeps it
-  // that way if the derivation ever changes. Migrated-out slots are
-  // tombstones; migrated-in seeds are checked by InsertSession.
-  for (const auto& other : sessions_) {
-    THINC_CHECK_MSG(other == nullptr ||
-                        EffectiveSeed(other->seed) != EffectiveSeed(s->seed),
-                    "fleet sessions must not share a PRNG stream");
-  }
-
-  CpuAccount* client_cpu = AttachTransport(s.get(), weight, local);
   ThincServerOptions server_options = options_.server_options;
   server_options.telemetry_host =
       options_.session_name_prefix + std::to_string(id);
@@ -121,39 +110,23 @@ FleetHost::Admission FleetHost::AddSession(const FleetSessionDemand& demand,
   // populations stay distinguishable.
   server_options.ladder = profile.ladder;
   ThincClientOptions client_options = options_.client_options;
-  client_options.client_pull = !server_options.server_push;
-  client_options.encrypt = server_options.encrypt;
   client_options.telemetry_host = options_.session_name_prefix +
                                   std::to_string(id) + "-" + profile.name;
-  s->server = std::make_unique<ThincServer>(loop_, s->transport.get(),
-                                            &host_cpu_, server_options);
-  s->ws = std::make_unique<WindowServer>(options_.screen_width,
-                                         options_.screen_height,
-                                         s->server.get(), &host_cpu_);
-  s->server->AttachWindowServer(s->ws.get());
-  s->client = std::make_unique<ThincClient>(loop_, s->transport.get(),
-                                            client_cpu,
-                                            options_.screen_width,
-                                            options_.screen_height,
-                                            client_options);
-  BindInputHandler(s.get());
-  // A device panel smaller than the hosted desktop negotiates its viewport
-  // at session start; the server Fant-resamples every subsequent update.
-  if (profile.screen_width > 0 && profile.screen_height > 0 &&
-      (profile.screen_width != options_.screen_width ||
-       profile.screen_height != options_.screen_height)) {
+  s->Build(loop_, SpecFor(*s, weight, local), &host_cpu_, profile.decode_speed,
+           server_options, client_options, [&](ThincServer* server) {
+             s->ws = std::make_unique<WindowServer>(
+                 options_.screen_width, options_.screen_height, server,
+                 &host_cpu_);
+             return s->ws.get();
+           });
+  s->server->SetInputHandler(ClickHandler(s->ws.get(), &s->input_fn));
+  const bool viewport =
+      profile.NegotiatesViewport(options_.screen_width, options_.screen_height);
+  if (viewport) {
     s->client->RequestViewport(profile.screen_width, profile.screen_height);
   }
 
-  admitted_cpu_us_per_sec_ += s->demand.cpu_us_per_sec;
-  if (!local) {
-    admitted_nic_bytes_per_sec_ += s->demand.nic_bytes_per_sec;
-  }
-  if (local) {
-    ++local_count_;
-  }
-  ++live_sessions_;
-  sessions_.push_back(std::move(s));
+  Place(std::move(s));
   {
     static Counter* admitted =
         MetricsRegistry::Get().GetCounter("fleet.admitted");
@@ -165,19 +138,16 @@ FleetHost::Admission FleetHost::AddSession(const FleetSessionDemand& demand,
     // Device-matrix accounting: which classes this host serves and how many
     // of them needed viewport/loss-path treatment (per-class names are few,
     // so the registry lookup per admission is fine).
-    const DeviceProfile& prof = sessions_.back()->profile;
     MetricsRegistry::Get()
         .GetCounter(std::string("device.admitted.") +
-                    DeviceClassName(prof.klass))
+                    DeviceClassName(profile.klass))
         ->Inc();
-    if (prof.screen_width > 0 && prof.screen_height > 0 &&
-        (prof.screen_width != options_.screen_width ||
-         prof.screen_height != options_.screen_height)) {
+    if (viewport) {
       static Counter* viewports =
           MetricsRegistry::Get().GetCounter("device.viewport_negotiations");
       viewports->Inc();
     }
-    if (prof.lossy) {
+    if (profile.lossy) {
       static Counter* lossy_paths =
           MetricsRegistry::Get().GetCounter("device.lossy_paths");
       lossy_paths->Inc();
@@ -186,56 +156,45 @@ FleetHost::Admission FleetHost::AddSession(const FleetSessionDemand& demand,
   return Admission::kAdmitted;
 }
 
-CpuAccount* FleetHost::AttachTransport(FleetSession* s, int64_t weight,
-                                       bool local) {
-  s->wire = nullptr;
+TransportSpec FleetHost::SpecFor(const FleetSession& s, int64_t weight,
+                                 bool local) {
   if (local) {
-    // Co-located session: frames reach the client as ref-counted loopback
-    // handoffs (never through the NIC), and the client decodes on the host
-    // CPU — it IS the host.
-    s->transport =
-        std::make_unique<LoopbackTransport>(loop_, &host_cpu_, options_.loopback);
-    return &host_cpu_;
+    return {.kind = TransportKind::kLoopback, .loopback = options_.loopback};
   }
   // The profile may override the per-session link (a phone's WAN path is
   // not the datacenter default) and swap the clean wire for a lossy one.
-  const LinkParams link = s->profile.link.value_or(options_.link);
-  std::unique_ptr<Connection> wire;
-  if (s->profile.lossy) {
-    // Each session's loss process gets its own deterministic substream,
-    // derived from the session seed by the same bijective mix that keeps
-    // workload streams disjoint (constant tags the loss domain).
-    LossyOptions loss = s->profile.loss;
-    loss.seed = DeriveSessionSeed(s->seed, 0x10551ULL);
-    wire = std::make_unique<LossyTransport>(loop_, link, loss,
-                                            options_.send_buffer_bytes);
-  } else {
-    wire = std::make_unique<Connection>(loop_, link,
-                                        options_.send_buffer_bytes);
-  }
-  wire->AttachUplink(&nic_, weight);
-  s->wire = wire.get();
-  s->transport = std::move(wire);
-  if (s->client_cpu == nullptr) {
-    // Phones decode slower than the 1.0x reference terminal; the profile's
-    // factor scales the account for the session's lifetime (it migrates
-    // with the session).
-    s->client_cpu =
-        std::make_unique<CpuAccount>(loop_, s->profile.decode_speed);
-  }
-  return s->client_cpu.get();
+  TransportSpec spec{
+      .kind = s.profile.lossy ? TransportKind::kLossy : TransportKind::kWire,
+      .link = s.profile.link.value_or(options_.link),
+      .send_buffer_bytes = options_.send_buffer_bytes,
+      .nic = &nic_,
+      .nic_weight = weight,
+      .loss = s.profile.loss};
+  // Each session's loss process gets its own deterministic substream,
+  // derived from the session seed by the same bijective mix that keeps
+  // workload streams disjoint (constant tags the loss domain).
+  spec.loss.seed = DeriveSessionSeed(s.seed, 0x10551ULL);
+  return spec;
 }
 
-void FleetHost::BindInputHandler(FleetSession* s) {
-  FleetSession* raw = s;
-  s->server->SetInputHandler([raw](Point p, int32_t button) {
-    raw->ws->InjectInput(p);
-    // Button 0 is a position-only event (cursor sync); only real clicks
-    // reach the application callback.
-    if (button > 0 && raw->input_fn) {
-      raw->input_fn(p);
-    }
-  });
+void FleetHost::Place(std::unique_ptr<FleetSession> s) {
+  // Two sessions sharing a PRNG stream would correlate "independent"
+  // workloads; the derivation makes it impossible for admitted sessions,
+  // and this check keeps it that way for migrated-in ones and if the
+  // derivation ever changes. Migrated-out slots are tombstones.
+  for (const auto& other : sessions_) {
+    THINC_CHECK_MSG(other == nullptr ||
+                        EffectiveSeed(other->seed) != EffectiveSeed(s->seed),
+                    "fleet sessions must not share a PRNG stream");
+  }
+  admitted_cpu_us_per_sec_ += s->demand.cpu_us_per_sec;
+  if (s->local) {
+    ++local_count_;
+  } else {
+    admitted_nic_bytes_per_sec_ += s->demand.nic_bytes_per_sec;
+  }
+  ++live_sessions_;
+  sessions_.push_back(std::move(s));
 }
 
 std::unique_ptr<FleetSession> FleetHost::ExtractSession(size_t id) {
@@ -248,11 +207,10 @@ std::unique_ptr<FleetSession> FleetHost::ExtractSession(size_t id) {
     s->transport->Reset();
   }
   admitted_cpu_us_per_sec_ -= s->demand.cpu_us_per_sec;
-  if (!s->local) {
-    admitted_nic_bytes_per_sec_ -= s->demand.nic_bytes_per_sec;
-  }
   if (s->local) {
     --local_count_;
+  } else {
+    admitted_nic_bytes_per_sec_ -= s->demand.nic_bytes_per_sec;
   }
   --live_sessions_;
   static Counter* out = MetricsRegistry::Get().GetCounter("fleet.migrated_out");
@@ -267,38 +225,15 @@ std::optional<size_t> FleetHost::InsertSession(
   if (!FitsHeadroom(s->demand, local)) {
     return std::nullopt;
   }
-  for (const auto& other : sessions_) {
-    THINC_CHECK_MSG(other == nullptr ||
-                        EffectiveSeed(other->seed) != EffectiveSeed(s->seed),
-                    "fleet sessions must not share a PRNG stream");
-  }
   const size_t id = sessions_.size();
   s->id = id;
   s->local = local;
-  // The old host's transport is spent; keep it alive (loop events and
-  // traces reference it) and build a fresh one on this host's resources.
-  if (s->transport != nullptr) {
-    s->retired.push_back(std::move(s->transport));
-  }
-  CpuAccount* client_cpu = AttachTransport(s, weight, local);
-  // Move the whole server-side stack onto this host's CPU before any new
-  // work is charged, then resynchronize through the reconnect protocol with
-  // the differential resync armed: the client's renegotiation pulls only
-  // the region drawn since it provably matched the screen.
-  s->server->RebindCpu(&host_cpu_);
+  // The old host's transport is spent: rebind the whole stack onto this
+  // host's CPU and a fresh transport on its resources, with the
+  // differential resync armed.
   s->ws->set_cpu(&host_cpu_);
-  s->server->Attach(s->transport.get());
-  s->server->ArmDifferentialResync();
-  s->client->Attach(s->transport.get(), client_cpu);
-  admitted_cpu_us_per_sec_ += s->demand.cpu_us_per_sec;
-  if (!local) {
-    admitted_nic_bytes_per_sec_ += s->demand.nic_bytes_per_sec;
-  }
-  if (local) {
-    ++local_count_;
-  }
-  ++live_sessions_;
-  sessions_.push_back(std::move(*session));
+  s->Rebind(SpecFor(*s, weight, local), &host_cpu_, /*differential=*/true);
+  Place(std::move(*session));
   static Counter* in = MetricsRegistry::Get().GetCounter("fleet.migrated_in");
   static Gauge* count = MetricsRegistry::Get().GetGauge("fleet.sessions");
   in->Inc();
@@ -312,11 +247,6 @@ void FleetHost::ClientClick(size_t id, Point location) {
 
 void FleetHost::SetInputCallback(size_t id, InputFn fn) {
   sessions_[id]->input_fn = std::move(fn);
-}
-
-size_t FleetHost::FramebufferBytes() const {
-  return static_cast<size_t>(options_.screen_width) * options_.screen_height *
-         sizeof(Pixel);
 }
 
 void FleetHost::StartController(SimTime until) {

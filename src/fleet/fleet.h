@@ -45,13 +45,9 @@
 #include <string>
 #include <vector>
 
-#include "src/core/thinc_client.h"
-#include "src/core/thinc_server.h"
+#include "src/core/session_stack.h"
 #include "src/device/device.h"
 #include "src/display/window_server.h"
-#include "src/net/connection.h"
-#include "src/net/loopback.h"
-#include "src/net/lossy.h"
 #include "src/net/nic.h"
 #include "src/util/cpu.h"
 #include "src/util/event_loop.h"
@@ -124,7 +120,7 @@ struct FleetOptions {
 // the identity (seed, PRNG stream, declared demand) that must survive a live
 // migration to another FleetHost. Owned by its current host; ExtractSession
 // releases it for a ClusterController to move.
-struct FleetSession {
+struct FleetSession : SessionStack {
   size_t id = 0;  // slot index on the CURRENT host (reassigned on insert)
   uint64_t seed = 0;
   bool local = false;
@@ -137,18 +133,7 @@ struct FleetSession {
   // (lossy WAN for phones), reuses the profile's link override and decode
   // speed, and the controller keeps applying the profile's ladder.
   DeviceProfile profile;
-  std::unique_ptr<Transport> transport;
-  Connection* wire = nullptr;  // transport downcast; null when local
-  // Transports retired by migration stay alive: scheduled loop events and
-  // readable traces still reference them.
-  std::vector<std::unique_ptr<Transport>> retired;
-  std::unique_ptr<ThincServer> server;
   std::unique_ptr<WindowServer> ws;
-  // Remote clients decode on their own terminal (1.0x); null for local
-  // sessions, whose client shares the host CPU. Kept across migrations so a
-  // local->remote switch reuses the same terminal account.
-  std::unique_ptr<CpuAccount> client_cpu;
-  std::unique_ptr<ThincClient> client;
   Prng prng{1};
   std::function<void(Point)> input_fn;
   // Controller hysteresis state (travels with the session: its degradation
@@ -165,14 +150,11 @@ class FleetHost {
 
   FleetHost(EventLoop* loop, FleetOptions options);
 
-  // Admission-checks `demand` and, if admitted, instantiates the session.
-  // Remote sessions (local=false) get a wire Connection attached to the
-  // shared NIC with `weight`, server/window server on the shared CPU, and a
-  // client on its own 1.0x account. Local sessions (local=true) get a
-  // LoopbackTransport: they bypass the NIC entirely — NIC attach is a
-  // wire-transport capability — so only their CPU demand counts toward
-  // admission, and their client decodes on the shared host CPU (it IS the
-  // host). Returns the outcome; ids are assigned densely in admission order.
+  // Admission-checks `demand` and, if admitted, instantiates the session
+  // with server and window server on the shared CPU. Remote sessions
+  // (local=false) get a wire on the shared NIC with `weight`; local ones a
+  // loopback, so only their CPU demand counts toward admission. Returns the
+  // outcome; ids are assigned densely in admission order.
   //
   // `profile` describes the device the session serves (default: desktop,
   // which reproduces the historical behaviour byte-for-byte). A non-desktop
@@ -219,11 +201,10 @@ class FleetHost {
   // meaning; per-session accessors must not be called on it again).
   std::unique_ptr<FleetSession> ExtractSession(size_t id);
   // Installs a migrated-in session: admission-checks its declared demand,
-  // builds a fresh transport on THIS host's NIC (or a loopback when
-  // local=true), rebinds server/window-server compute to this host's CPU,
-  // arms the differential resync, and reattaches the client (decode CPU
-  // follows the transport kind). Returns the new slot id, or nullopt when
-  // the demand does not fit — the session is handed back unmodified.
+  // moves window-server compute to this host's CPU, and rebinds the stack
+  // onto this host (NIC wire, or loopback when local=true) with the
+  // differential resync armed. Returns the new slot id, or nullopt when the
+  // demand does not fit — the session is handed back unmodified.
   std::optional<size_t> InsertSession(std::unique_ptr<FleetSession>* session,
                                       int64_t weight = 1, bool local = false);
 
@@ -244,7 +225,9 @@ class FleetHost {
   // The session's transport, whatever its kind.
   Transport* transport(size_t id) { return sessions_[id]->transport.get(); }
   // The wire connection of a remote session; null for local sessions.
-  Connection* connection(size_t id) { return sessions_[id]->wire; }
+  Connection* connection(size_t id) {
+    return is_local(id) ? nullptr : static_cast<Connection*>(transport(id));
+  }
   bool is_local(size_t id) const { return sessions_[id]->local; }
   size_t local_count() const { return local_count_; }
   // The session's device profile (desktop unless set at AddSession).
@@ -274,15 +257,13 @@ class FleetHost {
 
  private:
   bool FitsHeadroom(const FleetSessionDemand& demand, bool local) const;
-  // Builds the session's transport on this host (wire on the shared NIC, or
-  // loopback on the host CPU), stores it in `s`, and returns the CPU account
-  // its client decodes on.
-  CpuAccount* AttachTransport(FleetSession* s, int64_t weight, bool local);
-  // Wires the server's input handler to the session's window server and
-  // application callback.
-  void BindInputHandler(FleetSession* s);
+  // The transport `s` gets on this host: loopback on the host CPU when
+  // local, else its profile's wire (or lossy path) on the shared NIC.
+  TransportSpec SpecFor(const FleetSession& s, int64_t weight, bool local);
+  // Checks `s`'s PRNG stream is unique here, adds its effective demand to
+  // the admission sums, and stores it in the next slot (id == index).
+  void Place(std::unique_ptr<FleetSession> s);
   void ControllerTick(SimTime until);
-  size_t FramebufferBytes() const;
 
   EventLoop* loop_;
   FleetOptions options_;

@@ -238,6 +238,18 @@ TEST(ClusterMigrationTest, InFlightSessionRefusesSecondMigration) {
   EXPECT_EQ(cluster.host_of(gid), 2u);
 }
 
+// The host-side session object behind `gid` (the cluster exposes only its
+// server, so match on that).
+FleetSession* SessionOf(ClusterController* cluster, int64_t gid) {
+  FleetHost* host = cluster->host(cluster->host_of(gid));
+  for (size_t slot = 0; slot < host->session_count(); ++slot) {
+    if (host->has_session(slot) && host->server(slot) == cluster->server(gid)) {
+      return host->session(slot);
+    }
+  }
+  return nullptr;
+}
+
 TEST(ClusterMigrationTest, KindSwitchesLocalToRemoteAndBack) {
   EventLoop loop;
   ClusterController cluster(&loop, SmallCluster(2));
@@ -259,7 +271,12 @@ TEST(ClusterMigrationTest, KindSwitchesLocalToRemoteAndBack) {
   EXPECT_EQ(cluster.MismatchedPixels(gid), 0u);
   EXPECT_GT(cluster.BytesDeliveredToClient(gid), local_bytes)
       << "delivered-byte accounting must span retired transports";
-  // Back home: co-located again, over loopback.
+  const CpuAccount* terminal = SessionOf(&cluster, gid)->client_cpu.get();
+  ASSERT_NE(terminal, nullptr);
+  const SimTime remote_busy = terminal->total_busy();
+  EXPECT_GT(remote_busy, 0);
+  // Back home: co-located again, over loopback. The client decodes on the
+  // host CPU; its terminal idles but stays with the session.
   ASSERT_TRUE(cluster.MigrateSession(gid, 0));
   loop.Run();
   EXPECT_TRUE(cluster.is_local(gid));
@@ -267,6 +284,43 @@ TEST(ClusterMigrationTest, KindSwitchesLocalToRemoteAndBack) {
   web.RenderPage(cluster.window_server(gid), 2, cluster.host(0)->host_cpu());
   loop.Run();
   EXPECT_EQ(cluster.MismatchedPixels(gid), 0u);
+  EXPECT_EQ(SessionOf(&cluster, gid)->client_cpu.get(), terminal);
+  EXPECT_EQ(terminal->total_busy(), remote_busy);
+  // Remote again (remote -> local -> remote): the same terminal account,
+  // its busy time continuing rather than restarting.
+  ASSERT_TRUE(cluster.MigrateSession(gid, 1));
+  loop.Run();
+  EXPECT_FALSE(cluster.is_local(gid));
+  web.RenderPage(cluster.window_server(gid), 3, cluster.host(1)->host_cpu());
+  loop.Run();
+  EXPECT_EQ(cluster.MismatchedPixels(gid), 0u);
+  EXPECT_EQ(SessionOf(&cluster, gid)->client_cpu.get(), terminal);
+  EXPECT_GT(terminal->total_busy(), remote_busy);
+}
+
+// One phone session on a desktop larger than its 480x320 panel: the client
+// framebuffer is viewport-scaled, so the fidelity count must stay inside it.
+size_t PhoneSessionMismatch(uint64_t seed) {
+  EventLoop loop;
+  ClusterOptions co = SmallCluster(1, seed);
+  co.host.screen_width = 640;
+  co.host.screen_height = 480;
+  ClusterController cluster(&loop, co);
+  WebWorkload web(640, 480, seed);
+  const int64_t gid =
+      cluster.AddSession({}, /*weight=*/1, std::nullopt, SmartphoneProfile());
+  web.RenderPage(cluster.window_server(gid), 0, cluster.host(0)->host_cpu());
+  loop.Run();
+  EXPECT_EQ(cluster.client(gid)->framebuffer().width(), 480);
+  return cluster.MismatchedPixels(gid);
+}
+
+TEST(ClusterFidelityTest, PhoneSessionMismatchIsBoundedAndReproducible) {
+  const size_t first = PhoneSessionMismatch(11);
+  EXPECT_EQ(first, PhoneSessionMismatch(11));
+  EXPECT_GE(first, 640u * 480 - 480u * 320)
+      << "screen pixels outside the phone framebuffer count as mismatched";
+  EXPECT_LE(first, 640u * 480);
 }
 
 TEST(ClusterMigrationTest, ContentMatchesNoMigrationRunEvenWithInFlightDraws) {

@@ -469,7 +469,9 @@ INSTANTIATE_TEST_SUITE_P(
 // Deterministic generators for the content classes thin-client traffic is
 // made of; every intra codec must round-trip each of them bit-exactly
 // (palette, the one lossy stage, is bounded instead).
-enum class TileKind { kText, kGradient, kScroll, kNoise };
+// 64-bit so StructuredCase has no padding: gtest prints the parameter's raw
+// bytes into the test name, and padding bytes would make it change per run.
+enum class TileKind : uint64_t { kText, kGradient, kScroll, kNoise };
 
 struct StructuredCase {
   TileKind kind;

@@ -260,8 +260,8 @@ TEST(SessionShareTest, LocalViewerConvergesByReference) {
       << diff;
   // The co-located client decodes on the shared host CPU, not a terminal's.
   EXPECT_EQ(local->client_cpu, nullptr);
-  ASSERT_EQ(local->conn->kind(), TransportKind::kLoopback);
-  auto* lb = static_cast<LoopbackTransport*>(local->conn.get());
+  ASSERT_EQ(local->transport->kind(), TransportKind::kLoopback);
+  auto* lb = static_cast<LoopbackTransport*>(local->transport.get());
   EXPECT_GT(lb->SharedBytesFrom(Transport::kServer), 0)
       << "frames must reach the local viewer by reference";
   EXPECT_EQ(lb->CopiedBytesFrom(Transport::kServer), 0)
