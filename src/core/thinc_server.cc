@@ -22,6 +22,10 @@ constexpr uint8_t kTransportKey[16] = {0x54, 0x48, 0x49, 0x4E, 0x43, 0x2D, 0x4B,
 // negligible next to the rendering work, which WindowServer charges).
 constexpr double kTranslateCost = 1.0;
 
+// Aggregation window between command generation and transmission (the
+// ladder stretches it; see EffectiveFlushInterval).
+constexpr SimTime kFlushInterval = kMillisecond;
+
 // Minimum reference-speed cost (µs) worth one parallel encode slice: slices
 // below this would spend more on scheduling than they save, so an encode
 // splits into at most cost/kEncodeSliceCostUs slices (and never more than
@@ -39,6 +43,16 @@ constexpr double kEncodeSliceCostUs = 500.0;
 // flushes ahead of the small-update churn that heavier batching produces.
 constexpr SimTime kDegradedStarvationLimit = 300 * kMillisecond;
 
+// A RAW of `rect` clipped to `surface`, with pixels read from it; null when
+// nothing of `rect` lies on the surface.
+std::unique_ptr<RawCommand> RawFromSurface(const Surface& surface, const Rect& rect) {
+  const Rect clipped = rect.Intersect(surface.bounds());
+  if (clipped.empty()) {
+    return nullptr;
+  }
+  return std::make_unique<RawCommand>(clipped, surface.GetPixels(clipped));
+}
+
 }  // namespace
 
 ThincServer::ThincServer(EventLoop* loop, Transport* conn, CpuAccount* cpu,
@@ -48,10 +62,6 @@ ThincServer::ThincServer(EventLoop* loop, Transport* conn, CpuAccount* cpu,
       codec_selector_(options.adapt, &net_estimator_) {
   if (options_.initial_degradation_level > 0) {
     SetDegradationLevel(options_.initial_degradation_level);
-  }
-  if (options_.encrypt) {
-    tx_cipher_.emplace(kTransportKey);
-    rx_cipher_.emplace(kTransportKey);
   }
   Telemetry& telemetry = Telemetry::Get();
   if (telemetry.active()) {
@@ -67,6 +77,11 @@ ThincServer::ThincServer(EventLoop* loop, Transport* conn, CpuAccount* cpu,
 }
 
 void ThincServer::BindConnection() {
+  // Fresh cipher streams: an old keystream position dies with its connection.
+  if (options_.encrypt) {
+    tx_cipher_.emplace(kTransportKey);
+    rx_cipher_.emplace(kTransportKey);
+  }
   if (options_.adapt.enabled) {
     // The estimator observes the new transport from byte one; whatever it
     // learned about a previous link is stale.
@@ -83,32 +98,37 @@ void ThincServer::BindConnection() {
   });
 }
 
-void ThincServer::OnConnectionClosed() {
-  connected_ = false;
-  // Trace ids of frames committed to (but not decoded from) the dead
-  // transport die with it.
+void ThincServer::ResetInFlight() {
+  // Trace ids of frames committed to (but not decoded from) the transport
+  // die with it.
   Telemetry::Get().DropWireChannel(conn_);
-  pending_trace_id_ = 0;
-  // Everything tied to the dead transport is dropped: a partially
-  // transmitted frame can never be completed on a new connection (the resync
-  // refresh covers its content), and buffered media is stale by the time a
-  // client returns. The virtual display state itself — framebuffer,
-  // offscreen queues, stream geometry, viewport — is parked untouched.
+  // A partially transmitted frame can never be completed on a new
+  // connection (the resync refresh covers its content), and buffered media
+  // is stale by the time a client returns.
   pending_.reset();
   pending_prepared_ = false;
   pending_shared_wait_ = false;
   pending_frame_ = ByteBuffer();
   pending_cursor_ = 0;
+  pending_trace_id_ = 0;
+  pending_ref_cmd_.reset();
   update_requested_ = false;
   audio_queue_.clear();
   video_queue_.clear();
+}
+
+void ThincServer::OnConnectionClosed() {
+  connected_ = false;
+  // Everything tied to the dead transport is dropped. The virtual display
+  // state itself — framebuffer, offscreen queues, stream geometry,
+  // viewport — is parked untouched.
+  ResetInFlight();
   // A Reset drops committed-but-undelivered bytes, so commit order no
   // longer proves what the client holds: the temporal reference is void
   // (and so is the black-framebuffer arming shortcut — the next client
   // arrives with whatever it last rendered).
-  pending_ref_cmd_.reset();
-  InvalidateReference();
-  ref_lazy_arm_ok_ = false;
+  reference_.Invalidate();
+  reference_.ForfeitLazyArm();
   net_estimator_.Invalidate();
 }
 
@@ -116,25 +136,10 @@ void ThincServer::Attach(Transport* conn) {
   conn_ = conn;
   connected_ = true;
   ++reconnects_;
-  // Fresh transport: new framing and (when encrypting) new cipher streams —
-  // the old keystream position died with the old connection.
-  parser_ = FrameParser();
-  if (options_.encrypt) {
-    tx_cipher_.emplace(kTransportKey);
-    rx_cipher_.emplace(kTransportKey);
-  }
-  pending_.reset();
-  pending_prepared_ = false;
-  pending_shared_wait_ = false;
-  pending_frame_ = ByteBuffer();
-  pending_cursor_ = 0;
-  pending_trace_id_ = 0;
-  // The fresh transport must start with an empty trace channel even if this
+  parser_ = FrameParser();  // fresh framing
+  // Also empties the fresh transport's trace channel, in case this
   // Connection object served a previous life.
-  Telemetry::Get().DropWireChannel(conn_);
-  update_requested_ = false;
-  audio_queue_.clear();
-  video_queue_.clear();
+  ResetInFlight();
   // The old client's buffer is meaningless to the new client; the resync
   // refresh supersedes it.
   scheduler_.Clear();
@@ -152,18 +157,23 @@ void ThincServer::Attach(Transport* conn) {
   // bytes on high-RTT links).
 }
 
+Rect ThincServer::ToClient(const Rect& r) const {
+  return viewport_.has_value() ? Region(r).Scaled(viewport_->num, viewport_->den).Bounds()
+                               : r;
+}
+
+void ThincServer::QueueVideoSetup(int32_t id, const VideoStreamState& st) {
+  WireWriter w(MsgType::kVideoSetup, &arena_);
+  w.I32(id);
+  w.I32(st.src_width);
+  w.I32(st.src_height);
+  w.RectVal(ToClient(st.dst));
+  audio_queue_.push_back(MediaItem{w.Finish()});
+}
+
 void ThincServer::ReannounceStreams() {
   for (const auto& [id, st] : streams_) {
-    WireWriter w(MsgType::kVideoSetup, &arena_);
-    w.I32(id);
-    w.I32(st.src_width);
-    w.I32(st.src_height);
-    Rect scaled_dst =
-        viewport_.has_value()
-            ? Region(st.dst).Scaled(viewport_->num, viewport_->den).Bounds()
-            : st.dst;
-    w.RectVal(scaled_dst);
-    audio_queue_.push_back(MediaItem{w.Finish()});
+    QueueVideoSetup(id, st);
   }
   if (!streams_.empty()) {
     ScheduleFlush(0);
@@ -183,16 +193,10 @@ void ThincServer::SetDegradationLevel(int level) {
   const int32_t old_subsample = options_.ladder.fidelity_subsample[degradation_level_];
   degradation_level_ = level;
   scheduler_.set_starvation_limit(level >= 1 ? kDegradedStarvationLimit : 0);
-  if (ref_armed_ && options_.ladder.fidelity_subsample[level] != old_subsample) {
+  if (options_.ladder.fidelity_subsample[level] != old_subsample) {
     // The client's framebuffer now mixes fidelities the reference can't
-    // model (prior commits at the old factor, future ones at the new); mark
-    // everything stale so deltas re-arm region by region as full-fidelity
-    // content lands. Counted as an invalidation — the reference survives but
-    // is wholly unusable until rebuilt.
-    static Counter* invalidations =
-        MetricsRegistry::Get().GetCounter("codec.reference_invalidations");
-    invalidations->Inc();
-    ref_dirty_ = Region(ref_screen_.bounds());
+    // model (prior commits at the old factor, future ones at the new).
+    reference_.MarkAllStale();
   }
   Telemetry& telemetry = Telemetry::Get();
   telemetry.Record("core.degrade_level", loop_->now(), level);
@@ -203,7 +207,7 @@ void ThincServer::SetDegradationLevel(int level) {
 }
 
 SimTime ThincServer::EffectiveFlushInterval() const {
-  return options_.flush_interval * options_.ladder.flush_stretch[degradation_level_];
+  return kFlushInterval * options_.ladder.flush_stretch[degradation_level_];
 }
 
 void ThincServer::EnforceSchedulerCap() {
@@ -213,11 +217,8 @@ void ThincServer::EnforceSchedulerCap() {
   // under the cap). Past that, the backlog is worth less than a snapshot of
   // the current screen — collapse it and mark one full-screen refresh to be
   // materialized at the next connected flush.
-  const double budget_frames =
-      degradation_level_ == 0 ? std::max(1.0, options_.backlog_cap_framebuffers)
-                              : 1.0;
   const size_t cap =
-      static_cast<size_t>(budget_frames * static_cast<double>(FramebufferBytes()));
+      degradation_level_ == 0 ? MigrationDeltaBudgetBytes() : FramebufferBytes();
   if (scheduler_.TotalBytes() <= cap) {
     return;
   }
@@ -258,9 +259,7 @@ void ThincServer::OnPutImageShared(DrawableId dst, const Rect& rect,
   // every server's RawCommand references the same backing pixels (and thus
   // the same payload-attached encode cache).
   cpu_->Charge(kTranslateCost);
-  auto cmd = std::make_unique<RawCommand>(rect, pixels.Share());
-  cmd->set_compression_enabled(options_.compress_raw);
-  Emit(dst, std::move(cmd));
+  Emit(dst, std::make_unique<RawCommand>(rect, pixels.Share()));
 }
 
 void ThincServer::OnComposite(DrawableId dst, const Rect& rect,
@@ -303,10 +302,6 @@ void ThincServer::OnCopy(DrawableId src, DrawableId dst, const Rect& src_rect,
     std::vector<std::unique_ptr<Command>> group =
         queue->ExtractForCopy(src_rect, dst_origin, window_server_->SurfaceOf(src));
     for (auto& cmd : group) {
-      if (cmd->type() == MsgType::kRaw) {
-        static_cast<RawCommand*>(cmd.get())
-            ->set_compression_enabled(options_.compress_raw);
-      }
       Emit(dst, std::move(cmd));
     }
     return;
@@ -315,12 +310,7 @@ void ThincServer::OnCopy(DrawableId src, DrawableId dst, const Rect& src_rect,
   // Screen-to-pixmap: the copied content's provenance is the screen; record
   // it as RAW pixels read from the (already updated) destination pixmap.
   if (options_.offscreen_tracking) {
-    const Surface& dst_surface = window_server_->SurfaceOf(dst);
-    Rect clipped = dst_rect.Intersect(dst_surface.bounds());
-    if (!clipped.empty()) {
-      auto raw =
-          std::make_unique<RawCommand>(clipped, dst_surface.GetPixels(clipped));
-      raw->set_compression_enabled(options_.compress_raw);
+    if (auto raw = RawFromSurface(window_server_->SurfaceOf(dst), dst_rect)) {
       offscreen_[dst].Insert(std::move(raw));
     }
   }
@@ -356,10 +346,6 @@ std::vector<std::unique_ptr<Command>> ThincServer::ResizeForViewport(
   std::vector<std::unique_ptr<Command>> out;
   const int32_t num = viewport_->num;
   const int32_t den = viewport_->den;
-  auto scale_rect = [num, den](const Rect& r) {
-    Region scaled = Region(r).Scaled(num, den);
-    return scaled.Bounds();
-  };
 
   switch (cmd->type()) {
     case MsgType::kSfill: {
@@ -387,7 +373,7 @@ std::vector<std::unique_ptr<Command>> ThincServer::ResizeForViewport(
     case MsgType::kRaw: {
       auto& raw = static_cast<RawCommand&>(*cmd);
       for (const Rect& r : raw.region().rects()) {
-        Rect dst = scale_rect(r);
+        Rect dst = ToClient(r);
         if (dst.empty()) {
           continue;
         }
@@ -397,7 +383,6 @@ std::vector<std::unique_ptr<Command>> ThincServer::ResizeForViewport(
         Surface scaled = FantResample(src, dst.width, dst.height);
         auto piece = std::make_unique<RawCommand>(
             dst, std::vector<Pixel>(scaled.pixels().begin(), scaled.pixels().end()));
-        piece->set_compression_enabled(options_.compress_raw);
         // A resampled piece descends from an update that was large at full
         // scale; the codec's small-rect heuristic would misjudge it.
         piece->set_compress_floor(0);
@@ -420,7 +405,7 @@ std::vector<std::unique_ptr<Command>> ThincServer::ResizeForViewport(
         return out;
       }
       const Rect bounds = clipped.Bounds();
-      const Rect dst = scale_rect(bounds);
+      const Rect dst = ToClient(bounds);
       if (dst.empty()) {
         return out;
       }
@@ -431,7 +416,6 @@ std::vector<std::unique_ptr<Command>> ThincServer::ResizeForViewport(
       Surface scaled = FantResample(src, dst.width, dst.height);
       auto piece = std::make_unique<RawCommand>(
           dst, std::vector<Pixel>(scaled.pixels().begin(), scaled.pixels().end()));
-      piece->set_compression_enabled(options_.compress_raw);
       piece->set_compress_floor(0);
       // Keep the shipped region tight: only the scaled image of the source
       // region is painted, not the gaps the bounding read swept in.
@@ -461,37 +445,38 @@ void ThincServer::InsertOutgoing(std::unique_ptr<Command> cmd) {
     ScheduleFlush(EffectiveFlushInterval());
     return;
   }
+  std::deque<std::unique_ptr<Command>> pending;
   if (viewport_.has_value()) {
     for (auto& piece : ResizeForViewport(std::move(cmd))) {
-      scheduler_.Insert(std::move(piece), loop_->now());
+      pending.push_back(std::move(piece));
     }
-    EnforceSchedulerCap();
-    ScheduleFlush(EffectiveFlushInterval());
-    return;
+  } else {
+    pending.push_back(std::move(cmd));
   }
-  // Preserve semantics of buffered COPYs whose source this command is about
-  // to overwrite AND which are scheduled to flush after it: the affected
-  // destination parts are re-sent as RAW read from the reference screen
-  // (which already contains the copied content). Materialized RAWs change
-  // those destinations' client-side contents in turn, so the check cascades
-  // until no buffered copy is affected.
-  std::deque<std::unique_ptr<Command>> pending;
-  pending.push_back(std::move(cmd));
   while (!pending.empty()) {
     std::unique_ptr<Command> next = std::move(pending.front());
     pending.pop_front();
+    // The compress_raw ablation knob applies here, before the scheduler
+    // first sizes the command.
+    if (next->type() == MsgType::kRaw) {
+      static_cast<RawCommand*>(next.get())->set_compression_enabled(options_.compress_raw);
+    }
     const int planned = scheduler_.PlannedBand(*next, loop_->now());
-    for (const Region& region :
-         scheduler_.SplitCopiesReading(next->region(), planned)) {
-      const Surface& screen = window_server_->screen();
-      for (const Rect& r : region.rects()) {
-        Rect clipped = r.Intersect(screen.bounds());
-        if (clipped.empty()) {
-          continue;
+    if (!viewport_.has_value()) {
+      // Preserve semantics of buffered COPYs whose source this command is
+      // about to overwrite AND which are scheduled to flush after it: the
+      // affected destination parts are re-sent as RAW read from the
+      // reference screen (which already contains the copied content).
+      // Materialized RAWs change those destinations' client-side contents in
+      // turn, so the check cascades until no buffered copy is affected.
+      // (Under a viewport every COPY already went out as RAW.)
+      for (const Region& region :
+           scheduler_.SplitCopiesReading(next->region(), planned)) {
+        for (const Rect& r : region.rects()) {
+          if (auto raw = RawFromSurface(window_server_->screen(), r)) {
+            pending.push_back(std::move(raw));
+          }
         }
-        auto raw = std::make_unique<RawCommand>(clipped, screen.GetPixels(clipped));
-        raw->set_compression_enabled(options_.compress_raw);
-        pending.push_back(std::move(raw));
       }
     }
     scheduler_.Insert(std::move(next), loop_->now(), planned);
@@ -505,19 +490,11 @@ void ThincServer::InsertOutgoing(std::unique_ptr<Command> cmd) {
 int32_t ThincServer::OnVideoStreamCreate(int32_t src_width, int32_t src_height,
                                          const Rect& dst) {
   int32_t id = next_stream_id_++;
-  streams_[id] = VideoStreamState{src_width, src_height, dst};
+  const VideoStreamState& st = streams_[id] = VideoStreamState{src_width, src_height, dst};
   if (!connected_) {
     return id;  // geometry parked; re-announced on Attach()
   }
-  WireWriter w(MsgType::kVideoSetup, &arena_);
-  w.I32(id);
-  w.I32(src_width);
-  w.I32(src_height);
-  Rect scaled_dst = viewport_.has_value()
-                        ? Region(dst).Scaled(viewport_->num, viewport_->den).Bounds()
-                        : dst;
-  w.RectVal(scaled_dst);
-  audio_queue_.push_back(MediaItem{w.Finish()});
+  QueueVideoSetup(id, st);
   ScheduleFlush(0);
   return id;
 }
@@ -576,43 +553,32 @@ void ThincServer::EnqueueVideoFrame(int32_t stream_id, ByteBuffer wire_frame) {
       return;
     }
   }
-  MediaItem item;
-  item.frame = std::move(wire_frame);
-  item.is_video = true;
-  item.stream_id = stream_id;
-  video_queue_.push_back(std::move(item));
+  video_queue_.push_back(MediaItem{std::move(wire_frame), /*is_video=*/true, stream_id});
   ScheduleFlush(0);
 }
 
 void ThincServer::OnVideoStreamMove(int32_t stream_id, const Rect& dst) {
   auto it = streams_.find(stream_id);
   THINC_CHECK(it != streams_.end());
-  if (ref_armed_ && !viewport_.has_value()) {
-    // The vacated rect holds overlay video on the client but untracked
-    // content in the reference; the display updates that repaint it must
-    // go intra until they land.
-    ref_dirty_ = ref_dirty_.Union(it->second.dst);
-  }
+  // The vacated rect holds overlay video on the client but untracked content
+  // in the reference; the display updates that repaint it must go intra
+  // until they land.
+  reference_.MarkStale(it->second.dst);
   it->second.dst = dst;
   if (!connected_) {
     return;  // Attach() re-announces the stream at its latest geometry
   }
   WireWriter w(MsgType::kVideoMove, &arena_);
   w.I32(stream_id);
-  Rect scaled_dst = viewport_.has_value()
-                        ? Region(dst).Scaled(viewport_->num, viewport_->den).Bounds()
-                        : dst;
-  w.RectVal(scaled_dst);
+  w.RectVal(ToClient(dst));
   audio_queue_.push_back(MediaItem{w.Finish()});
   ScheduleFlush(0);
 }
 
 void ThincServer::OnVideoStreamDestroy(int32_t stream_id) {
-  if (ref_armed_ && !viewport_.has_value()) {
-    auto it = streams_.find(stream_id);
-    if (it != streams_.end()) {
-      ref_dirty_ = ref_dirty_.Union(it->second.dst);  // as in OnVideoStreamMove
-    }
+  auto it = streams_.find(stream_id);
+  if (it != streams_.end()) {
+    reference_.MarkStale(it->second.dst);  // as in OnVideoStreamMove
   }
   streams_.erase(stream_id);
   video_queue_.erase(std::remove_if(video_queue_.begin(), video_queue_.end(),
@@ -665,49 +631,6 @@ void ThincServer::ScheduleFlush(SimTime delay) {
   });
 }
 
-size_t ThincServer::CommitBytes(const ByteBuffer& bytes, size_t* cursor) {
-  size_t space = conn_->FreeSpace(Transport::kServer);
-  size_t n = std::min(space, bytes.size() - *cursor);
-  if (n == 0) {
-    return 0;
-  }
-  size_t sent;
-  if (tx_cipher_.has_value()) {
-    // The keystream transform needs private bytes: copy once, then cipher
-    // in place. (The shared frame must stay pristine for other viewers.)
-    std::vector<uint8_t> chunk(bytes.begin() + *cursor, bytes.begin() + *cursor + n);
-    BufferStats::Get().NoteCopy(static_cast<int64_t>(n));
-    tx_cipher_->Process(chunk, chunk);
-    cpu_->Charge(cpucost::kRc4PerByte * static_cast<double>(n));
-    sent = conn_->Send(Transport::kServer, chunk);
-  } else {
-    // Zero-copy commit: the connection queues a view of the encoded frame.
-    sent = conn_->Send(Transport::kServer, bytes.Slice(*cursor, n));
-  }
-  THINC_CHECK(sent == n);  // we never offer more than FreeSpace()
-  *cursor += n;
-  return n;
-}
-
-SimTime ThincServer::ChargeEncode(double cost_us) {
-  if (options_.parallel_encode_slices && cpu_->cores() > 1 &&
-      pending_ != nullptr && pending_->type() == MsgType::kRaw &&
-      cost_us > kEncodeSliceCostUs) {
-    const int by_cost = static_cast<int>(cost_us / kEncodeSliceCostUs);
-    const int slices = std::min(cpu_->cores(), by_cost);
-    if (slices > 1) {
-      static Counter* sliced =
-          MetricsRegistry::Get().GetCounter("cpu.sliced_encodes");
-      static Counter* slice_count =
-          MetricsRegistry::Get().GetCounter("cpu.encode_slices");
-      sliced->Inc();
-      slice_count->Inc(slices);
-      return cpu_->ChargeParallel(cost_us, slices);
-    }
-  }
-  return cpu_->Charge(cost_us);
-}
-
 void ThincServer::Flush() {
   if (!connected_) {
     return;  // parked; Attach() + the client's resync hello resume delivery
@@ -723,237 +646,251 @@ void ThincServer::Flush() {
   const SimTime now = loop_->now();
   size_t committed = 0;
   while (true) {
-    // 1. Finish any partially committed frame first (stream coherence).
     if (!pending_frame_.empty()) {
-      size_t n = CommitBytes(pending_frame_, &pending_cursor_);
-      committed += n;
-      if (pending_trace_id_ != 0 && n > 0) {
-        Telemetry::Get().StampCommit(pending_trace_id_, now,
-                                     static_cast<int64_t>(n));
-      }
-      if (pending_cursor_ < pending_frame_.size()) {
+      // 1. Finish the in-flight frame first (stream coherence).
+      if (!CommitPendingFrame(now, &committed)) {
         return;  // socket full; writable callback resumes us
       }
-      if (pending_trace_id_ != 0) {
-        Telemetry& telemetry = Telemetry::Get();
-        telemetry.NoteFrameCommitted(pending_trace_id_, now);
-        telemetry.PushWireTrace(conn_, pending_trace_id_);
-        pending_trace_id_ = 0;
+    } else if (pending_ != nullptr) {
+      // 2. Prepare, encode and hand off the popped display command.
+      if (!AdvancePending(now)) {
+        return;  // encode still running; a flush is scheduled for its end
       }
-      pending_frame_ = ByteBuffer();
-      pending_cursor_ = 0;
-      if (pending_ref_cmd_ != nullptr) {
-        // The display command behind this frame is now fully committed: the
-        // client will apply it in this exact order.
-        ApplyToReference(*pending_ref_cmd_);
-        pending_ref_cmd_.reset();
-      }
-      continue;
-    }
-    // 2. A popped display command in progress.
-    if (pending_ != nullptr) {
-      if (!pending_prepared_) {
-        // Adapt layer: a full-rect RAW update with a clean reference may
-        // re-encode as a temporal delta (swaps pending_ for a DeltaCommand).
-        // Runs before the shared-frame cache on purpose: deltas are keyed to
-        // one viewer's reference and must never be shared.
-        MaybeDeltaEncode();
-        // Session sharing: if another viewer's server already encoded this
-        // exact frame (same content, same geometry), reuse the bytes and
-        // skip the encode CPU charge; if that encode is still in flight,
-        // wait for its completion instead of starting a duplicate. Either
-        // way encode cost amortizes to ~1 encode per frame across N viewers.
-        pending_cache_key_.clear();
-        pending_shared_wait_ = false;
-        if (options_.shared_frame_cache != nullptr &&
-            pending_->type() == MsgType::kRaw) {
-          pending_cache_key_ =
-              static_cast<RawCommand*>(pending_.get())->SharedContentKey();
-          static Counter* lookups =
-              MetricsRegistry::Get().GetCounter("share.lookups");
-          static Counter* hits = MetricsRegistry::Get().GetCounter("share.hits");
-          static Counter* waits = MetricsRegistry::Get().GetCounter("share.waits");
-          lookups->Inc();
-          ByteBuffer cached = options_.shared_frame_cache->Lookup(pending_cache_key_);
-          if (!cached.empty()) {
-            hits->Inc();
-            pending_frame_ = std::move(cached);
-            pending_cursor_ = 0;
-            pending_trace_id_ = pending_->trace_id();
-            Telemetry::Get().StampEncode(pending_trace_id_, now, now,
-                                         /*cache_hit=*/true);
-            if (options_.adapt.enabled) {
-              pending_ref_cmd_ = std::move(pending_);
-            }
-            pending_.reset();
-            continue;
-          }
-          int64_t other_ready =
-              options_.shared_frame_cache->PendingEncodeReady(pending_cache_key_);
-          if (other_ready >= now) {
-            waits->Inc();
-            pending_ready_ = other_ready;
-            pending_prepared_ = true;
-            pending_shared_wait_ = true;
-          }
-        }
-        if (!pending_prepared_) {
-          double cost = pending_->EncodeCpuCost();
-          pending_encode_start_ = now;
-          pending_ready_ = ChargeEncode(cost);
-          pending_prepared_ = true;
-          if (pending_->type() == MsgType::kRaw) {
-            ++BufferStats::Get().encode_charges;
-          }
-          if (!pending_cache_key_.empty()) {
-            options_.shared_frame_cache->NoteEncodeStarted(pending_cache_key_,
-                                                           pending_ready_);
-          }
-        }
-      }
-      if (now < pending_ready_) {
-        // Encoding still "running" on the server CPU.
-        loop_->ScheduleAt(pending_ready_, [this] { Flush(); });
-        return;
-      }
-      if (pending_shared_wait_) {
-        // We idled while another server encoded this frame; pick it up.
-        pending_shared_wait_ = false;
-        ByteBuffer cached =
-            options_.shared_frame_cache->Lookup(pending_cache_key_);
-        if (!cached.empty()) {
-          pending_frame_ = std::move(cached);
-          pending_cursor_ = 0;
-          pending_trace_id_ = pending_->trace_id();
-          Telemetry::Get().StampEncode(pending_trace_id_, now, now,
-                                       /*cache_hit=*/true);
-          if (options_.adapt.enabled) {
-            pending_ref_cmd_ = std::move(pending_);
-          }
-          pending_.reset();
-          pending_prepared_ = false;
-          continue;
-        }
-        // The encoding server never delivered (reset, or its entry was
-        // evicted): encode ourselves after all.
-        double cost = pending_->EncodeCpuCost();
-        pending_encode_start_ = now;
-        pending_ready_ = ChargeEncode(cost);
-        ++BufferStats::Get().encode_charges;
-        options_.shared_frame_cache->NoteEncodeStarted(pending_cache_key_,
-                                                       pending_ready_);
-        if (now < pending_ready_) {
-          loop_->ScheduleAt(pending_ready_, [this] { Flush(); });
-          return;
-        }
-      }
-      const BufferStats& stats = BufferStats::Get();
-      const int64_t cache_hits_before =
-          stats.payload_encode_hits + stats.frame_cache_hits;
-      ByteBuffer frame = pending_->EncodeFrame(&arena_);
-      if (pending_->trace_id() != 0) {
-        const bool cache_hit =
-            stats.payload_encode_hits + stats.frame_cache_hits >
-            cache_hits_before;
-        Telemetry::Get().StampEncode(
-            pending_->trace_id(), pending_encode_start_,
-            std::max(pending_encode_start_, pending_ready_), cache_hit);
-      }
-      if (options_.shared_frame_cache != nullptr && !pending_cache_key_.empty()) {
-        static Counter* stores = MetricsRegistry::Get().GetCounter("share.stores");
-        stores->Inc();
-        options_.shared_frame_cache->Store(pending_cache_key_, frame.Share());
-      }
-      size_t space = conn_->FreeSpace(Transport::kServer);
-      if (frame.size() <= space) {
-        size_t cursor = 0;
-        size_t n = CommitBytes(frame, &cursor);
-        committed += n;
-        THINC_CHECK(cursor == frame.size());
-        if (pending_->trace_id() != 0) {
-          Telemetry& telemetry = Telemetry::Get();
-          telemetry.StampCommit(pending_->trace_id(), now,
-                                static_cast<int64_t>(n));
-          telemetry.NoteFrameCommitted(pending_->trace_id(), now);
-          telemetry.PushWireTrace(conn_, pending_->trace_id());
-        }
-        ApplyToReference(*pending_);
-        pending_.reset();
-        pending_prepared_ = false;
-        continue;
-      }
-      // Split so the committed portion fits and the remainder can be
-      // rescheduled by remaining size (non-blocking operation, Section 5).
-      std::unique_ptr<Command> part = pending_->SplitOff(space);
-      if (part != nullptr) {
-        pending_frame_ = part->EncodeFrame(&arena_);
-        pending_cursor_ = 0;
-        pending_trace_id_ = part->trace_id();
-        if (options_.adapt.enabled) {
-          pending_ref_cmd_ = std::move(part);
-        }
-        scheduler_.Reinsert(std::move(pending_));
-        pending_prepared_ = false;
-        continue;
-      }
-      // Unsplittable: stream its bytes progressively.
-      pending_frame_ = std::move(frame);
-      pending_cursor_ = 0;
-      pending_trace_id_ = pending_->trace_id();
-      if (options_.adapt.enabled) {
-        pending_ref_cmd_ = std::move(pending_);
-      }
-      pending_.reset();
-      pending_prepared_ = false;
-      continue;
-    }
-    // 3. Pick the next item: audio/control, then video, then the scheduler.
-    if (!audio_queue_.empty()) {
-      pending_frame_ = std::move(audio_queue_.front().frame);
-      pending_cursor_ = 0;
-      audio_queue_.pop_front();
-      continue;
-    }
-    // Ladder backlog cap, socket side (audio/control above stays exempt:
-    // tiny and ordering-critical). The writable callback resumes the flush
-    // as the socket drains.
-    if (degradation_level_ > 0 &&
-        conn_->SendBufferCapacity() - conn_->FreeSpace(Transport::kServer) >
-            options_.ladder.socket_backlog_budget[degradation_level_]) {
+    } else if (!PickNext(now)) {
+      // 3. Nothing left, or the ladder's socket budget is spent.
       break;
-    }
-    if (!video_queue_.empty()) {
-      pending_frame_ = std::move(video_queue_.front().frame);
-      pending_cursor_ = 0;
-      video_queue_.pop_front();
-      ++video_frames_sent_;
-      continue;
-    }
-    std::unique_ptr<Command> cmd = scheduler_.PopNext(loop_->now());
-    if (cmd == nullptr) {
-      break;
-    }
-    pending_ = std::move(cmd);
-    pending_prepared_ = false;
-    if (options_.ladder.fidelity_subsample[degradation_level_] > 1 &&
-        pending_->type() == MsgType::kRaw) {
-      // Ladder fidelity downshift at pop time (after overwrite coalescing
-      // has had its chance): resample work is charged like the viewport
-      // path's server-side scaling.
-      auto* raw = static_cast<RawCommand*>(pending_.get());
-      if (raw->SubsampleFidelity(options_.ladder.fidelity_subsample[degradation_level_])) {
-        cpu_->Charge(static_cast<double>(raw->rect().area()) *
-                     cpucost::kResamplePerPixel);
-      }
-    }
-    if (pending_->trace_id() != 0) {
-      Telemetry::Get().StampPicked(pending_->trace_id(), now);
     }
   }
   // In pull mode a request stays armed until it has been answered with at
   // least some data; once everything buffered has gone out, it's satisfied.
   if (!options_.server_push && committed > 0) {
     update_requested_ = false;
+  }
+}
+
+bool ThincServer::CommitPendingFrame(SimTime now, size_t* committed) {
+  const size_t n = std::min(conn_->FreeSpace(Transport::kServer),
+                            pending_frame_.size() - pending_cursor_);
+  if (n > 0) {
+    size_t sent;
+    if (tx_cipher_.has_value()) {
+      // The keystream transform needs private bytes: copy once, then cipher
+      // in place. (The shared frame must stay pristine for other viewers.)
+      auto from = pending_frame_.begin() + pending_cursor_;
+      std::vector<uint8_t> chunk(from, from + n);
+      BufferStats::Get().NoteCopy(static_cast<int64_t>(n));
+      tx_cipher_->Process(chunk, chunk);
+      cpu_->Charge(cpucost::kRc4PerByte * static_cast<double>(n));
+      sent = conn_->Send(Transport::kServer, chunk);
+    } else {
+      // Zero-copy commit: the connection queues a view of the encoded frame.
+      sent = conn_->Send(Transport::kServer, pending_frame_.Slice(pending_cursor_, n));
+    }
+    THINC_CHECK(sent == n);  // we never offer more than FreeSpace()
+    pending_cursor_ += n;
+    *committed += n;
+    if (pending_trace_id_ != 0) {
+      Telemetry::Get().StampCommit(pending_trace_id_, now, static_cast<int64_t>(n));
+    }
+  }
+  if (pending_cursor_ < pending_frame_.size()) {
+    return false;
+  }
+  if (pending_trace_id_ != 0) {
+    Telemetry& telemetry = Telemetry::Get();
+    telemetry.NoteFrameCommitted(pending_trace_id_, now);
+    telemetry.PushWireTrace(conn_, pending_trace_id_);
+    pending_trace_id_ = 0;
+  }
+  pending_frame_ = ByteBuffer();
+  pending_cursor_ = 0;
+  if (pending_ref_cmd_ != nullptr) {
+    // The display command behind this frame is now fully committed: the
+    // client will apply it in this exact order.
+    reference_.Apply(*pending_ref_cmd_, window_server_->screen().bounds(),
+                     viewport_.has_value());
+    pending_ref_cmd_.reset();
+  }
+  return true;
+}
+
+bool ThincServer::AdvancePending(SimTime now) {
+  if (!pending_prepared_ && PreparePending(now)) {
+    return true;
+  }
+  if (pending_shared_wait_ && now >= pending_ready_) {
+    // We idled while another server encoded this frame; pick it up — or,
+    // when that server never delivered (reset, or its entry was evicted),
+    // encode ourselves after all.
+    pending_shared_wait_ = false;
+    if (AdoptSharedFrame(now)) {
+      return true;
+    }
+    StartEncode(now);
+  }
+  if (now < pending_ready_) {
+    // Encoding still "running" on the server CPU.
+    loop_->ScheduleAt(pending_ready_, [this] { Flush(); });
+    return false;
+  }
+  EncodePending(now);
+  return true;
+}
+
+bool ThincServer::PreparePending(SimTime now) {
+  // Adapt layer: a full-rect RAW update with a clean reference may
+  // re-encode as a temporal delta (swaps pending_ for a DeltaCommand). Runs
+  // before the shared-frame cache on purpose: deltas are keyed to one
+  // viewer's reference and must never be shared.
+  MaybeDeltaEncode();
+  // Session sharing: if another viewer's server already encoded this exact
+  // frame (same content, same geometry), reuse the bytes and skip the
+  // encode CPU charge; if that encode is still in flight, wait for its
+  // completion instead of starting a duplicate. Either way encode cost
+  // amortizes to ~1 encode per frame across N viewers.
+  pending_cache_key_.clear();
+  pending_shared_wait_ = false;
+  if (options_.shared_frame_cache != nullptr && pending_->type() == MsgType::kRaw) {
+    pending_cache_key_ = static_cast<RawCommand*>(pending_.get())->SharedContentKey();
+    static Counter* lookups = MetricsRegistry::Get().GetCounter("share.lookups");
+    static Counter* hits = MetricsRegistry::Get().GetCounter("share.hits");
+    static Counter* waits = MetricsRegistry::Get().GetCounter("share.waits");
+    lookups->Inc();
+    if (AdoptSharedFrame(now)) {
+      hits->Inc();
+      return true;
+    }
+    const int64_t other_ready =
+        options_.shared_frame_cache->PendingEncodeReady(pending_cache_key_);
+    if (other_ready >= now) {
+      waits->Inc();
+      pending_ready_ = other_ready;
+      pending_prepared_ = true;
+      pending_shared_wait_ = true;
+      return false;
+    }
+  }
+  StartEncode(now);
+  return false;
+}
+
+void ThincServer::StartEncode(SimTime now) {
+  // On a multi-core host a RAW encode splits into per-band slices landing on
+  // distinct cores, one per kEncodeSliceCostUs of work; everything else is
+  // one serial charge.
+  const double cost_us = pending_->EncodeCpuCost();
+  const int slices =
+      pending_->type() == MsgType::kRaw
+          ? std::min(cpu_->cores(), static_cast<int>(cost_us / kEncodeSliceCostUs))
+          : 1;
+  pending_encode_start_ = now;
+  if (slices > 1) {
+    static Counter* sliced = MetricsRegistry::Get().GetCounter("cpu.sliced_encodes");
+    static Counter* slice_count = MetricsRegistry::Get().GetCounter("cpu.encode_slices");
+    sliced->Inc();
+    slice_count->Inc(slices);
+    pending_ready_ = cpu_->ChargeParallel(cost_us, slices);
+  } else {
+    pending_ready_ = cpu_->Charge(cost_us);
+  }
+  pending_prepared_ = true;
+  if (pending_->type() == MsgType::kRaw) {
+    ++BufferStats::Get().encode_charges;
+  }
+  if (!pending_cache_key_.empty()) {
+    options_.shared_frame_cache->NoteEncodeStarted(pending_cache_key_, pending_ready_);
+  }
+}
+
+bool ThincServer::AdoptSharedFrame(SimTime now) {
+  ByteBuffer cached = options_.shared_frame_cache->Lookup(pending_cache_key_);
+  if (cached.empty()) {
+    return false;
+  }
+  Telemetry::Get().StampEncode(pending_->trace_id(), now, now, /*cache_hit=*/true);
+  AdoptFrame(std::move(cached), std::move(pending_));
+  return true;
+}
+
+void ThincServer::EncodePending(SimTime now) {
+  const BufferStats& stats = BufferStats::Get();
+  const int64_t cache_hits_before = stats.payload_encode_hits + stats.frame_cache_hits;
+  ByteBuffer frame = pending_->EncodeFrame(&arena_);
+  if (pending_->trace_id() != 0) {
+    const bool cache_hit =
+        stats.payload_encode_hits + stats.frame_cache_hits > cache_hits_before;
+    Telemetry::Get().StampEncode(pending_->trace_id(), pending_encode_start_,
+                                 std::max(pending_encode_start_, pending_ready_),
+                                 cache_hit);
+  }
+  if (options_.shared_frame_cache != nullptr && !pending_cache_key_.empty()) {
+    static Counter* stores = MetricsRegistry::Get().GetCounter("share.stores");
+    stores->Inc();
+    options_.shared_frame_cache->Store(pending_cache_key_, frame.Share());
+  }
+  // A frame larger than the socket's free space is split so the committed
+  // portion fits and the remainder can be rescheduled by remaining size
+  // (non-blocking operation, Section 5); an unsplittable one streams its
+  // bytes progressively.
+  const size_t space = conn_->FreeSpace(Transport::kServer);
+  if (frame.size() > space) {
+    if (std::unique_ptr<Command> part = pending_->SplitOff(space)) {
+      ByteBuffer part_frame = part->EncodeFrame(&arena_);
+      AdoptFrame(std::move(part_frame), std::move(part));
+      scheduler_.Reinsert(std::move(pending_));
+      return;
+    }
+  }
+  AdoptFrame(std::move(frame), std::move(pending_));
+}
+
+bool ThincServer::PickNext(SimTime now) {
+  if (!audio_queue_.empty()) {
+    AdoptFrame(std::move(audio_queue_.front().frame), nullptr);
+    audio_queue_.pop_front();
+    return true;
+  }
+  // Ladder backlog cap, socket side (audio/control above stays exempt: tiny
+  // and ordering-critical). The writable callback resumes the flush as the
+  // socket drains.
+  if (degradation_level_ > 0 &&
+      conn_->SendBufferCapacity() - conn_->FreeSpace(Transport::kServer) >
+          options_.ladder.socket_backlog_budget[degradation_level_]) {
+    return false;
+  }
+  if (!video_queue_.empty()) {
+    AdoptFrame(std::move(video_queue_.front().frame), nullptr);
+    video_queue_.pop_front();
+    ++video_frames_sent_;
+    return true;
+  }
+  pending_ = scheduler_.PopNext(now);
+  if (pending_ == nullptr) {
+    return false;
+  }
+  const int32_t subsample = options_.ladder.fidelity_subsample[degradation_level_];
+  if (subsample > 1 && pending_->type() == MsgType::kRaw) {
+    // Ladder fidelity downshift at pop time (after overwrite coalescing has
+    // had its chance): resample work is charged like the viewport path's
+    // server-side scaling.
+    auto* raw = static_cast<RawCommand*>(pending_.get());
+    if (raw->SubsampleFidelity(subsample)) {
+      cpu_->Charge(static_cast<double>(raw->rect().area()) * cpucost::kResamplePerPixel);
+    }
+  }
+  if (pending_->trace_id() != 0) {
+    Telemetry::Get().StampPicked(pending_->trace_id(), now);
+  }
+  return true;
+}
+
+void ThincServer::AdoptFrame(ByteBuffer frame, std::unique_ptr<Command> cmd) {
+  pending_frame_ = std::move(frame);
+  pending_cursor_ = 0;
+  pending_trace_id_ = cmd != nullptr ? cmd->trace_id() : 0;
+  pending_prepared_ = false;
+  if (options_.adapt.enabled) {
+    pending_ref_cmd_ = std::move(cmd);
   }
 }
 
@@ -980,12 +917,20 @@ void ThincServer::HandleFrame(uint8_t type, std::span<const uint8_t> payload) {
       if (!r.PointVal(&p) || !r.I32(&button) || !r.I64(&timestamp)) {
         return;
       }
-      // Client coordinates are viewport coordinates; unscale for the
-      // application, keep scaled for the scheduler's real-time region.
+      // A point off the screen is garbage or hostile: it must reach neither
+      // the scheduler's real-time halo nor the application. (Client
+      // coordinates are viewport coordinates, and the workloads' clicks on
+      // viewport clients are screen positions, so the screen is the bound.)
+      if (!window_server_->screen().bounds().Contains(p)) {
+        return;
+      }
+      // Unscale for the application, keep scaled for the scheduler's
+      // real-time region. The viewport ratio can be steep: unscale in 64 bits.
       Point server_pt = p;
       if (viewport_.has_value()) {
-        server_pt = Point{p.x * viewport_->den / viewport_->num,
-                          p.y * viewport_->den / viewport_->num};
+        const int64_t num = viewport_->num, den = viewport_->den;
+        server_pt = Point{static_cast<int32_t>(p.x * den / num),
+                          static_cast<int32_t>(p.y * den / num)};
       }
       scheduler_.NoteInput(p, loop_->now());
       if (input_handler_) {
@@ -1024,12 +969,12 @@ void ThincServer::HandleFrame(uint8_t type, std::span<const uint8_t> payload) {
         // dirtiness command by command as it commits). Under a scaled
         // viewport there is no delta coding — the wire carries resampled
         // pixels the reference surface doesn't model.
-        ref_lazy_arm_ok_ = false;  // the client is past its virgin black fb
+        reference_.ForfeitLazyArm();  // the client is past its virgin black fb
         if (!viewport_.has_value()) {
-          ArmReference(screen,
-                       resync_armed_ ? unacked_region_ : Region(screen.bounds()));
+          reference_.Arm(screen,
+                         resync_armed_ ? unacked_region_ : Region(screen.bounds()));
         } else {
-          InvalidateReference();
+          reference_.Invalidate();
         }
       }
       // The renegotiation that follows an Attach() triggers the resync: the
@@ -1057,23 +1002,14 @@ void ThincServer::HandleFrame(uint8_t type, std::span<const uint8_t> payload) {
 }
 
 void ThincServer::SendFullRefresh() {
-  const Surface& screen = window_server_->screen();
-  Rect all = screen.bounds();
-  auto raw = std::make_unique<RawCommand>(all, screen.GetPixels(all));
-  raw->set_compression_enabled(options_.compress_raw);
-  InsertOutgoing(std::move(raw));
+  SendPartialRefresh(Region(window_server_->screen().bounds()));
 }
 
 void ThincServer::SendPartialRefresh(const Region& region) {
-  const Surface& screen = window_server_->screen();
   for (const Rect& r : region.rects()) {
-    Rect clipped = r.Intersect(screen.bounds());
-    if (clipped.empty()) {
-      continue;
+    if (auto raw = RawFromSurface(window_server_->screen(), r)) {
+      InsertOutgoing(std::move(raw));
     }
-    auto raw = std::make_unique<RawCommand>(clipped, screen.GetPixels(clipped));
-    raw->set_compression_enabled(options_.compress_raw);
-    InsertOutgoing(std::move(raw));
   }
 }
 
@@ -1105,77 +1041,15 @@ size_t ThincServer::MigrationDeltaBudgetBytes() const {
 
 size_t ThincServer::MigrationStateBytes() {
   MaybeClearUnacked();
-  const size_t dirty =
-      static_cast<size_t>(unacked_region_.Area()) * sizeof(Pixel);
-  if (dirty > MigrationDeltaBudgetBytes()) {
-    return kMigrationDescriptorBytes + FramebufferBytes();
-  }
-  return kMigrationDescriptorBytes + dirty;
+  const size_t dirty = static_cast<size_t>(unacked_region_.Area()) * sizeof(Pixel);
+  return kMigrationDescriptorBytes +
+         (dirty > MigrationDeltaBudgetBytes() ? FramebufferBytes() : dirty);
 }
 
-// --- Temporal reference (adapt layer) ----------------------------------------
-
-void ThincServer::ArmReference(Surface base, Region dirty) {
-  ref_screen_ = std::move(base);
-  ref_dirty_ = std::move(dirty);
-  ref_armed_ = true;
-}
-
-void ThincServer::InvalidateReference() {
-  if (ref_armed_) {
-    static Counter* invalidations =
-        MetricsRegistry::Get().GetCounter("codec.reference_invalidations");
-    invalidations->Inc();
-  }
-  ref_armed_ = false;
-  ref_screen_ = Surface();
-  ref_dirty_ = Region();
-}
-
-void ThincServer::ApplyToReference(const Command& cmd) {
-  if (!options_.adapt.enabled) {
-    return;
-  }
-  if (!ref_armed_) {
-    // A virgin session's client framebuffer is known: solid black, from its
-    // constructor. The first committed command arms the reference against
-    // that — no renegotiation needed. Forfeited the moment the client could
-    // hold anything else (reconnect, migration, viewport scaling).
-    if (!ref_lazy_arm_ok_ || viewport_.has_value() || window_server_ == nullptr) {
-      return;
-    }
-    const Surface& screen = window_server_->screen();
-    ArmReference(Surface(screen.width(), screen.height(), kBlack), Region());
-  }
-  // Commands that read the client framebuffer (COPY; transparent BITMAP
-  // blends over it) propagate staleness from their source into their
-  // destination; pure overwrites scrub it. The server-side DeltaCommand
-  // carries its reconstructed pixels, so it counts as an overwrite here
-  // even though its wire form is reference-dependent.
-  bool reads_stale = false;
-  switch (cmd.type()) {
-    case MsgType::kCopy: {
-      const auto& copy = static_cast<const CopyCommand&>(cmd);
-      reads_stale = !copy.SourceRegion().Intersect(ref_dirty_).empty();
-      break;
-    }
-    case MsgType::kBitmap:
-      reads_stale = cmd.overlap() == OverlapClass::kTransparent &&
-                    !cmd.region().Intersect(ref_dirty_).empty();
-      break;
-    default:
-      break;
-  }
-  cmd.Apply(&ref_screen_);
-  if (reads_stale) {
-    ref_dirty_ = ref_dirty_.Union(cmd.region());
-  } else {
-    ref_dirty_ = ref_dirty_.Subtract(cmd.region());
-  }
-}
+// --- Temporal reference (adapt layer) ---------------------------------------
 
 void ThincServer::MaybeDeltaEncode() {
-  if (!options_.adapt.enabled || !ref_armed_ || viewport_.has_value() ||
+  if (!options_.adapt.enabled || !reference_.armed() || viewport_.has_value() ||
       pending_ == nullptr || pending_->type() != MsgType::kRaw) {
     return;
   }
@@ -1194,8 +1068,7 @@ void ThincServer::MaybeDeltaEncode() {
   // Reference must be exact under the whole rect, and the rect must not
   // overlap a live video overlay (client pixels there are video frames the
   // reference never saw).
-  if (rect.Intersect(ref_screen_.bounds()) != rect ||
-      !ref_dirty_.Intersect(rect).empty()) {
+  if (!reference_.IsClean(rect)) {
     return;
   }
   for (const auto& [id, st] : streams_) {
@@ -1215,7 +1088,7 @@ void ThincServer::MaybeDeltaEncode() {
       cpu_->Charge(static_cast<double>(rect.area()) * cpucost::kResamplePerPixel);
     }
   }
-  const std::vector<Pixel> ref_slice = ref_screen_.GetPixels(rect);
+  const std::vector<Pixel> ref_slice = reference_.Slice(rect);
   DeltaStats stats;
   double delta_cost = 0;
   std::vector<uint8_t> payload = DeltaEncode(ref_slice, raw->PixelData(),
@@ -1242,15 +1115,12 @@ void ThincServer::MaybeDeltaEncode() {
 }
 
 void ThincServer::ArmDifferentialResync() {
-  const size_t dirty =
-      static_cast<size_t>(unacked_region_.Area()) * sizeof(Pixel);
-  if (dirty > MigrationDeltaBudgetBytes()) {
-    // Delta over budget: the plain full-refresh resync is cheaper.
-    resync_armed_ = false;
-    return;
+  // Delta over budget: the plain full-refresh resync is cheaper.
+  const size_t dirty = static_cast<size_t>(unacked_region_.Area()) * sizeof(Pixel);
+  resync_armed_ = dirty <= MigrationDeltaBudgetBytes();
+  if (resync_armed_) {
+    resync_region_ = unacked_region_;
   }
-  resync_region_ = unacked_region_;
-  resync_armed_ = true;
 }
 
 }  // namespace thinc

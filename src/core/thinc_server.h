@@ -40,6 +40,7 @@
 #include "src/core/command.h"
 #include "src/core/command_queue.h"
 #include "src/core/scheduler.h"
+#include "src/core/temporal_reference.h"
 #include "src/display/driver.h"
 #include "src/display/window_server.h"
 #include "src/net/transport.h"
@@ -96,14 +97,6 @@ struct ThincServerOptions {
   bool encrypt = true;             // RC4 transport encryption
   bool compress_raw = true;        // PNG-like compression of RAW payloads
   SchedulerOptions scheduler;
-  // Aggregation window between command generation and transmission.
-  SimTime flush_interval = kMillisecond;
-  // On a multi-core host, split large RAW/PNG-like encodes into per-band
-  // slices charged to distinct cores (§DESIGN.md 12). Off: every encode is
-  // one serial charge even when idle cores are available. No effect on a
-  // single-core host, and never on wire bytes — only on encode completion
-  // times.
-  bool parallel_encode_slices = true;
   // Shared encoded-frame cache (session sharing): when set — only a
   // SharedSessionHost does this — a RAW frame another viewer's server
   // already encoded is reused at flush time and its encode CPU charge is
@@ -307,15 +300,19 @@ class ThincServer : public DisplayDriver {
   void InsertOutgoing(std::unique_ptr<Command> cmd);
   std::vector<std::unique_ptr<Command>> ResizeForViewport(std::unique_ptr<Command> cmd);
 
-  // Wires receive/writable/closed callbacks to the current connection. The
-  // closed callback captures the connection it was bound to and compares it
-  // against conn_ at fire time (pointer comparison only), so a late close
-  // notification from a retired connection cannot clobber a fresh session.
+  // Resets the ciphers and wires receive/writable/closed callbacks to the
+  // current connection. The closed callback captures the connection it was
+  // bound to and compares it against conn_ at fire time (pointer comparison
+  // only), so a late close notification from a retired connection cannot
+  // clobber a fresh session.
   void BindConnection();
   void OnConnectionClosed();
   // Re-sends kVideoSetup for every live stream after Attach() so the fresh
   // client can rebuild its stream table.
   void ReannounceStreams();
+  void QueueVideoSetup(int32_t id, const VideoStreamState& st);
+  // `r` in client coordinates (scaled bounds under a viewport).
+  Rect ToClient(const Rect& r) const;
   // Graceful degradation: when the scheduler backlog exceeds the configured
   // budget (backlog_cap_framebuffers, default 2x the framebuffer size),
   // collapse it into a single full-screen snapshot.
@@ -329,36 +326,41 @@ class ThincServer : public DisplayDriver {
   // armed differential resync; full-screen region == SendFullRefresh).
   void SendPartialRefresh(const Region& region);
 
-  // --- Adaptive codec (reference-frame machinery, DESIGN.md §15) ------------
-  // Arms the temporal reference: `base` becomes the delivered-content
-  // snapshot and `dirty` the region where it is not yet trustworthy.
-  void ArmReference(Surface base, Region dirty);
-  // Drops the reference (reconnect, rebind, viewport scaling): every
-  // subsequent update goes intra until a resync re-arms it.
-  void InvalidateReference();
-  // Folds a display command the client has provably received (its frame
-  // fully committed to the in-order transport) into the reference surface.
-  void ApplyToReference(const Command& cmd);
   // At flush-prepare time: if the selector picks a temporal codec and the
   // reference covers pending_'s rect, re-encodes pending_ as a DeltaCommand
   // (falling back to intra when the delta is not smaller).
   void MaybeDeltaEncode();
 
-  // Books the CPU time for encoding `pending_` and returns its completion
-  // time. RAW encodes above kEncodeSliceCostUs split into per-band slices
-  // landing on distinct cores (capped so each slice stays worth its
-  // scheduling overhead); everything else is one serial charge.
-  SimTime ChargeEncode(double cost_us);
-
   void ScheduleFlush(SimTime delay);
   // Aggregation window at the current degradation level (ladder stretch).
   SimTime EffectiveFlushInterval() const;
+  // The non-blocking flush (Section 5): a loop over steps 1-3 below that
+  // stops before the socket would block (the writable callback resumes it).
   void Flush();
-  // Commits as much of `bytes` (starting at *cursor) as the socket accepts;
-  // returns the number of bytes committed. Unencrypted bytes are handed to
-  // the connection as a zero-copy slice; encryption copies once (the
-  // keystream transform needs its own bytes).
-  size_t CommitBytes(const ByteBuffer& bytes, size_t* cursor);
+  // Step 1: commits what the socket takes of pending_frame_ (zero-copy
+  // unless encrypting); false while bytes remain. The last byte closes the
+  // frame's telemetry span and folds its command into the reference.
+  bool CommitPendingFrame(SimTime now, size_t* committed);
+  // Step 2: prepare, encode, hand off pending_; false while the encode (ours
+  // or another viewer's) runs — a flush is scheduled for its end.
+  bool AdvancePending(SimTime now);
+  // Delta re-encode, then a shared-cache pickup (returns true), a wait on
+  // another viewer's in-flight encode, or our own encode.
+  bool PreparePending(SimTime now);
+  // Books pending_'s encode CPU (sliced across cores when worth it).
+  void StartEncode(SimTime now);
+  bool AdoptSharedFrame(SimTime now);  // false on a shared-cache miss
+  // Hands off pending_ whole, or split so the part fits the socket.
+  void EncodePending(SimTime now);
+  // Step 3: audio/control, the ladder's socket budget, video, then the
+  // scheduler; false when nothing may be sent now.
+  bool PickNext(SimTime now);
+  // The one hand-off: `frame` goes in flight. `cmd` is the display command
+  // it carries (null for media/control); with adapt on it folds into the
+  // reference once the frame's last byte is committed.
+  void AdoptFrame(ByteBuffer frame, std::unique_ptr<Command> cmd);
+  // Drops everything in flight on the current transport (close, Attach).
+  void ResetInFlight();
   void OnReceive(std::span<const uint8_t> data);
   void HandleFrame(uint8_t type, std::span<const uint8_t> payload);
   void EnqueueVideoFrame(int32_t stream_id, ByteBuffer wire_frame);
@@ -431,20 +433,12 @@ class ThincServer : public DisplayDriver {
   int degradation_level_ = 0;
 
   // Adaptive codec state (all inert unless options_.adapt.enabled).
-  // `ref_screen_` mirrors, command by committed command, the framebuffer
-  // content the client provably holds; `ref_dirty_` is where that mirror is
-  // stale (divergent history, live video, pre-resync content) and deltas
-  // are forbidden. `pending_ref_cmd_` is the display command whose bytes
-  // are draining through pending_frame_ — folded into the reference when
-  // the frame's last byte is committed.
+  // `pending_ref_cmd_` is the display command whose bytes are draining
+  // through pending_frame_ — folded into `reference_` when the frame's last
+  // byte is committed.
   NetEstimator net_estimator_;
   CodecSelector codec_selector_{AdaptOptions{}, nullptr};
-  Surface ref_screen_;
-  Region ref_dirty_;
-  bool ref_armed_ = false;
-  // A never-reattached session may arm lazily against the client's known
-  // initial (black) framebuffer; any reconnect forfeits that shortcut.
-  bool ref_lazy_arm_ok_ = true;
+  TemporalReference reference_;
   std::unique_ptr<Command> pending_ref_cmd_;
 };
 

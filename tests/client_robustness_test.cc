@@ -280,5 +280,55 @@ TEST(ReconnectTest, ReconnectRenegotiatesViewport) {
   EXPECT_EQ(MismatchedPixels(sys.client()->framebuffer(), before), 0);
 }
 
+// Server side of the same contract: a kInput frame whose point lies off the
+// screen is dropped before it reaches the application or the scheduler's
+// real-time halo, where the viewport unscale and the halo arithmetic would
+// overflow on extreme coordinates. The session carries on exactly like a
+// twin that never saw the hostile frames.
+void ExpectExtremeInputDropped(bool viewport) {
+  EventLoop loop;
+  ThincSystem sys(&loop, LanDesktopLink(), 128, 96);
+  EventLoop twin_loop;
+  ThincSystem twin(&twin_loop, LanDesktopLink(), 128, 96);
+  if (viewport) {
+    sys.SetViewport(64, 48);
+    twin.SetViewport(64, 48);
+  }
+  loop.Run();
+  twin_loop.Run();
+  std::vector<Point> seen;
+  sys.server()->SetInputHandler([&seen](Point p, int32_t) { seen.push_back(p); });
+  sys.client()->SendInput(Point{INT32_MAX, INT32_MIN}, 1);
+  sys.client()->SendInput(Point{INT32_MIN, INT32_MAX}, 1);
+  sys.client()->SendInput(Point{10, 5}, 1);  // on screen: still delivered
+  loop.Run();
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0], viewport ? (Point{20, 10}) : (Point{10, 5}));
+
+  for (ThincSystem* s : {&sys, &twin}) {
+    for (int i = 0; i < 6; ++i) {
+      s->window_server()->FillRect(kScreenDrawable,
+                                   Rect{(i % 3) * 40, (i / 3) * 40, 40, 40},
+                                   PixelFor(i));
+    }
+  }
+  loop.Run();
+  twin_loop.Run();
+  EXPECT_EQ(MismatchedPixels(sys.client()->framebuffer(), twin.client()->framebuffer()),
+            0);
+  if (!viewport) {
+    EXPECT_EQ(MismatchedPixels(sys.window_server()->screen(), sys.client()->framebuffer()),
+              0);
+  }
+}
+
+TEST(ServerRobustnessTest, ExtremeInputCoordinatesDropped) {
+  ExpectExtremeInputDropped(/*viewport=*/false);
+}
+
+TEST(ServerRobustnessTest, ExtremeInputCoordinatesDroppedUnderViewport) {
+  ExpectExtremeInputDropped(/*viewport=*/true);
+}
+
 }  // namespace
 }  // namespace thinc

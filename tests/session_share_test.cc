@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/telemetry/metrics.h"
+#include "src/util/buffer.h"
 #include "src/util/prng.h"
 #include "src/workload/video.h"
 #include "src/workload/web.h"
@@ -34,6 +36,39 @@ TEST(SessionShareTest, TwoViewersConvergeIdentically) {
   int64_t diff = 0;
   EXPECT_TRUE(host.window_server()->screen().Equals(a->client->framebuffer(), &diff))
       << diff;
+  EXPECT_TRUE(host.window_server()->screen().Equals(b->client->framebuffer(), &diff))
+      << diff;
+}
+
+TEST(SessionShareTest, SharedEncodeWaitFallsBackWhenEncoderResets) {
+  // Viewer B finds viewer A's encode of the same RAW frame in flight and
+  // waits for it instead of encoding a duplicate. A's transport resets
+  // before that encode completes, so the frame never reaches the shared
+  // cache: B must encode it itself and still converge.
+  EventLoop loop;
+  SharedSessionHost host(&loop, 200, 150);
+  auto* a = host.AddViewer(LanDesktopLink());
+  auto* b = host.AddViewer(LanDesktopLink());
+  loop.Run();
+  const Counter* waits = MetricsRegistry::Get().GetCounter("share.waits");
+  const int64_t waits_before = waits->value();
+  const int64_t charges_before = BufferStats::Get().encode_charges;
+  Prng rng(7);
+  std::vector<Pixel> noise(200 * 150);
+  for (Pixel& p : noise) {
+    p = static_cast<Pixel>(rng.Next()) | 0xFF000000;
+  }
+  host.window_server()->PutImage(kScreenDrawable, Rect{0, 0, 200, 150}, noise);
+  // Both servers flush one aggregation window later: A starts the encode,
+  // B waits on it.
+  loop.RunUntil(loop.now() + kMillisecond);
+  ASSERT_EQ(waits->value(), waits_before + 1);
+  ASSERT_EQ(BufferStats::Get().encode_charges, charges_before + 1);
+  a->transport->Reset();
+  loop.Run();
+  EXPECT_FALSE(a->server->connected());
+  EXPECT_EQ(BufferStats::Get().encode_charges, charges_before + 2);
+  int64_t diff = 0;
   EXPECT_TRUE(host.window_server()->screen().Equals(b->client->framebuffer(), &diff))
       << diff;
 }
