@@ -81,4 +81,8 @@ if [[ "$RUN_SANITIZE" == 1 ]]; then
   ctest --preset sanitize
 fi
 
+# Informational, not a gate: SLOC per src/ module and the total.
+echo "== sloc: scripts/sloc.sh =="
+scripts/sloc.sh
+
 echo "check.sh: all gates passed"

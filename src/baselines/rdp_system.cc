@@ -47,19 +47,10 @@ RdpOptions MakeIcaOptions(bool wan_profile) {
 
 RdpSystem::RdpSystem(EventLoop* loop, const LinkParams& link, int32_t screen_width,
                      int32_t screen_height, RdpOptions options)
-    : loop_(loop), options_(std::move(options)),
-      server_cpu_(loop, kServerCpuSpeed, options_.server_cpu_cores),
-      client_cpu_(loop, kClientCpuSpeed),
-      conn_(std::make_unique<Connection>(loop, link)),
-      out_(std::make_unique<SendQueue>(loop, conn_.get(), Transport::kServer)),
-      driver_(std::make_unique<RdpDriver>(this)),
-      client_fb_(screen_width, screen_height, kBlack) {
-  server_ws_ = std::make_unique<WindowServer>(screen_width, screen_height,
-                                              driver_.get(), &server_cpu_);
-  conn_->SetReceiver(Transport::kClient,
-                     [this](std::span<const uint8_t> d) { OnClientReceive(d); });
-  conn_->SetReceiver(Transport::kServer,
-                     [this](std::span<const uint8_t> d) { OnServerReceive(d); });
+    : WireBaseline(loop, link, options.server_cpu_cores,
+                   static_cast<uint8_t>(Msg::kInput), static_cast<uint8_t>(Msg::kAudio)),
+      options_(std::move(options)), client_fb_(screen_width, screen_height, kBlack) {
+  HostWindowServer(std::make_unique<RdpDriver>(this), screen_width, screen_height);
 }
 
 void RdpSystem::SetViewport(int32_t width, int32_t height) {
@@ -203,7 +194,6 @@ void RdpSystem::SendImage(const Rect& rect, std::span<const Pixel> pixels,
 }
 
 void RdpSystem::SubmitAudio(std::span<const uint8_t> pcm, SimTime timestamp) {
-  // Lossy ~4:1 audio codec ("lower audio fidelity due to compression").
   size_t compressed = pcm.size() / 4;
   WireWriter w;
   w.I64(timestamp);
@@ -216,54 +206,13 @@ void RdpSystem::SubmitAudio(std::span<const uint8_t> pcm, SimTime timestamp) {
                 server_cpu_.Charge(0.02 * static_cast<double>(pcm.size())));
 }
 
-void RdpSystem::ClientClick(Point location) {
-  WireWriter w;
-  w.PointVal(location);
-  std::vector<uint8_t> payload = w.Take();
-  conn_->Send(Transport::kClient,
-              BuildFrame(static_cast<MsgType>(Msg::kInput), payload));
-}
-
-void RdpSystem::OnServerReceive(std::span<const uint8_t> data) {
-  server_parser_.Feed(data);
-  while (auto frame = server_parser_.Next()) {
-    if (static_cast<Msg>(frame->type) == Msg::kInput) {
-      WireReader r(frame->payload);
-      Point p;
-      if (r.PointVal(&p)) {
-        server_ws_->InjectInput(p);
-        if (input_fn_) {
-          input_fn_(p);
-        }
-      }
-    }
-  }
-}
-
 // --- Client side -------------------------------------------------------------------
 
 void RdpSystem::ApplyImage(const Rect& rect, const std::vector<Pixel>& pixels) {
   if (viewport_.has_value()) {
     if (options_.ica_client_resize) {
       // ICA: resample full-size data on the (slow) client.
-      client_cpu_.Charge(static_cast<double>(rect.area()) *
-                         cpucost::kClientResamplePerPixel);
-      int32_t sw = server_ws_->screen().width();
-      int32_t sh = server_ws_->screen().height();
-      int32_t vx1 = rect.x * viewport_->width / sw;
-      int32_t vy1 = rect.y * viewport_->height / sh;
-      int32_t vx2 = (rect.right() * viewport_->width + sw - 1) / sw;
-      int32_t vy2 = (rect.bottom() * viewport_->height + sh - 1) / sh;
-      Rect dst = Rect::FromEdges(vx1, vy1, vx2, vy2).Intersect(client_fb_.bounds());
-      for (int32_t y = dst.y; y < dst.bottom(); ++y) {
-        for (int32_t x = dst.x; x < dst.right(); ++x) {
-          int32_t sx = std::clamp(x * sw / viewport_->width - rect.x, 0,
-                                  rect.width - 1);
-          int32_t sy = std::clamp(y * sh / viewport_->height - rect.y, 0,
-                                  rect.height - 1);
-          client_fb_.Put(x, y, pixels[static_cast<size_t>(sy) * rect.width + sx]);
-        }
-      }
+      ResampleOnClient(rect, pixels, *viewport_, &client_fb_);
     } else {
       // RDP: clip — only the part inside the viewport window is visible.
       Rect visible = rect.Intersect(*viewport_);
@@ -282,143 +231,128 @@ void RdpSystem::ApplyImage(const Rect& rect, const std::vector<Pixel>& pixels) {
   } else {
     client_fb_.PutPixels(rect, pixels);
   }
-  if (probe_rect_.has_value() &&
-      Region(rect).Intersect(*probe_rect_).Area() * 10 >= probe_rect_->area() * 3) {
-    video_frame_times_.push_back(loop_->now());
-  }
+  ProbeVideo(Region(rect));
 }
 
-void RdpSystem::OnClientReceive(std::span<const uint8_t> data) {
-  client_parser_.Feed(data);
-  while (auto frame = client_parser_.Next()) {
-    WireReader r(frame->payload);
-    client_cpu_.Charge(kOrderCost);  // per-order client processing
-    switch (static_cast<Msg>(frame->type)) {
-      case Msg::kFill: {
-        Region region;
-        uint32_t color;
-        if (r.RegionVal(&region) && r.U32(&color)) {
-          if (viewport_.has_value() && !options_.ica_client_resize) {
-            region = region.Intersect(*viewport_);
-          }
-          // Under ICA resize, fills keep coordinates; approximate by scaling
-          // their bounds through the image path for simplicity: fills are
-          // cheap either way, so apply full-size semantics only when
-          // unscaled.
-          if (!viewport_.has_value() || !options_.ica_client_resize) {
-            client_fb_.FillRegion(region, color);
-          } else {
-            Rect b = region.Bounds();
-            int32_t sw = server_ws_->screen().width();
-            int32_t sh = server_ws_->screen().height();
-            Rect dst =
-                Rect::FromEdges(b.x * viewport_->width / sw,
-                                b.y * viewport_->height / sh,
-                                (b.right() * viewport_->width + sw - 1) / sw,
-                                (b.bottom() * viewport_->height + sh - 1) / sh)
-                    .Intersect(client_fb_.bounds());
-            client_fb_.FillRect(dst, color);
-          }
+void RdpSystem::HandleClientFrame(uint8_t type, std::span<const uint8_t> payload) {
+  WireReader r(payload);
+  client_cpu_.Charge(kOrderCost);  // per-order client processing
+  switch (static_cast<Msg>(type)) {
+    case Msg::kFill: {
+      Region region;
+      uint32_t color;
+      if (r.RegionVal(&region) && r.U32(&color)) {
+        if (viewport_.has_value() && !options_.ica_client_resize) {
+          region = region.Intersect(*viewport_);
         }
-        break;
-      }
-      case Msg::kTile: {
-        Region region;
-        Point origin;
-        uint16_t tw, th;
-        if (r.RegionVal(&region) && r.PointVal(&origin) && r.U16(&tw) && r.U16(&th)) {
-          std::vector<uint8_t> bytes;
-          if (r.Bytes(static_cast<size_t>(tw) * th * sizeof(Pixel), &bytes)) {
-            Surface tile(tw, th);
-            std::vector<Pixel> px(static_cast<size_t>(tw) * th);
-            std::memcpy(px.data(), bytes.data(), bytes.size());
-            tile.PutPixels(Rect{0, 0, tw, th}, px);
-            if (viewport_.has_value()) {
-              if (options_.ica_client_resize) {
-                break;  // ICA small-screen: folded into resampled image traffic
-              }
-              region = region.Intersect(*viewport_);
-            }
-            client_fb_.FillTiled(region, tile, origin);
-          }
+        // Under ICA resize, fills keep coordinates; approximate by scaling
+        // their bounds through the image path for simplicity: fills are
+        // cheap either way, so apply full-size semantics only when
+        // unscaled.
+        if (!viewport_.has_value() || !options_.ica_client_resize) {
+          client_fb_.FillRegion(region, color);
+        } else {
+          client_fb_.FillRect(ScaleToViewport(region.Bounds(), *viewport_)
+                                  .Intersect(client_fb_.bounds()),
+                              color);
         }
-        break;
       }
-      case Msg::kGlyph: {
-        Region region;
-        Point origin;
-        uint32_t fg, bg;
-        uint8_t transparent;
-        Bitmap stipple;
-        if (r.RegionVal(&region) && r.PointVal(&origin) && r.U32(&fg) && r.U32(&bg) &&
-            r.U8(&transparent) && r.BitmapVal(&stipple)) {
+      break;
+    }
+    case Msg::kTile: {
+      Region region;
+      Point origin;
+      uint16_t tw, th;
+      if (r.RegionVal(&region) && r.PointVal(&origin) && r.U16(&tw) && r.U16(&th)) {
+        std::vector<uint8_t> bytes;
+        if (r.Bytes(static_cast<size_t>(tw) * th * sizeof(Pixel), &bytes)) {
+          Surface tile(tw, th);
+          std::vector<Pixel> px(static_cast<size_t>(tw) * th);
+          std::memcpy(px.data(), bytes.data(), bytes.size());
+          tile.PutPixels(Rect{0, 0, tw, th}, px);
           if (viewport_.has_value()) {
             if (options_.ica_client_resize) {
               break;  // ICA small-screen: folded into resampled image traffic
             }
             region = region.Intersect(*viewport_);
           }
-          client_fb_.FillStippled(region, stipple, origin, fg, bg, transparent != 0);
+          client_fb_.FillTiled(region, tile, origin);
         }
-        break;
       }
-      case Msg::kCopy: {
-        Rect src;
-        Point dst;
-        if (r.RectVal(&src) && r.PointVal(&dst) && !viewport_.has_value()) {
-          client_fb_.CopyFrom(client_fb_, src, dst);
-        }
-        break;
-      }
-      case Msg::kImage: {
-        Rect rect;
-        int64_t hash;
-        uint32_t raw_len, enc_len;
-        if (!r.RectVal(&rect) || !r.I64(&hash) || !r.U32(&raw_len) ||
-            !r.U32(&enc_len)) {
-          break;
-        }
-        std::vector<uint8_t> encoded;
-        if (!r.Bytes(enc_len, &encoded)) {
-          break;
-        }
-        std::vector<uint8_t> raw;
-        if (!LzssDecode(encoded, &raw) || raw.size() != raw_len ||
-            raw.size() != static_cast<size_t>(rect.area()) * sizeof(Pixel)) {
-          break;
-        }
-        std::vector<Pixel> pixels(static_cast<size_t>(rect.area()));
-        std::memcpy(pixels.data(), raw.data(), raw.size());
-        client_cpu_.Charge(cpucost::kDecodePerByte * static_cast<double>(enc_len));
-        client_cache_[static_cast<uint64_t>(hash)] = pixels;
-        client_cache_geometry_[static_cast<uint64_t>(hash)] = rect;
-        ApplyImage(rect, pixels);
-        break;
-      }
-      case Msg::kImageCached: {
-        Rect rect;
-        int64_t hash;
-        if (!r.RectVal(&rect) || !r.I64(&hash)) {
-          break;
-        }
-        auto it = client_cache_.find(static_cast<uint64_t>(hash));
-        if (it != client_cache_.end()) {
-          ApplyImage(rect, it->second);
-        }
-        break;
-      }
-      case Msg::kAudio: {
-        int64_t ts;
-        uint32_t raw_len, comp_len;
-        if (r.I64(&ts) && r.U32(&raw_len) && r.U32(&comp_len)) {
-          audio_bytes_ += raw_len;  // decoded output volume
-        }
-        break;
-      }
-      default:
-        break;
+      break;
     }
-    client_processed_at_ = std::max(client_processed_at_, client_cpu_.busy_until());
+    case Msg::kGlyph: {
+      Region region;
+      Point origin;
+      uint32_t fg, bg;
+      uint8_t transparent;
+      Bitmap stipple;
+      if (r.RegionVal(&region) && r.PointVal(&origin) && r.U32(&fg) && r.U32(&bg) &&
+          r.U8(&transparent) && r.BitmapVal(&stipple)) {
+        if (viewport_.has_value()) {
+          if (options_.ica_client_resize) {
+            break;  // ICA small-screen: folded into resampled image traffic
+          }
+          region = region.Intersect(*viewport_);
+        }
+        client_fb_.FillStippled(region, stipple, origin, fg, bg, transparent != 0);
+      }
+      break;
+    }
+    case Msg::kCopy: {
+      Rect src;
+      Point dst;
+      if (r.RectVal(&src) && r.PointVal(&dst) && !viewport_.has_value()) {
+        client_fb_.CopyFrom(client_fb_, src, dst);
+      }
+      break;
+    }
+    case Msg::kImage: {
+      Rect rect;
+      int64_t hash;
+      uint32_t raw_len, enc_len;
+      if (!r.RectVal(&rect) || !r.I64(&hash) || !r.U32(&raw_len) ||
+          !r.U32(&enc_len)) {
+        break;
+      }
+      std::vector<uint8_t> encoded;
+      if (!r.Bytes(enc_len, &encoded)) {
+        break;
+      }
+      std::vector<uint8_t> raw;
+      if (!LzssDecode(encoded, &raw) || raw.size() != raw_len ||
+          raw.size() != static_cast<size_t>(rect.area()) * sizeof(Pixel)) {
+        break;
+      }
+      std::vector<Pixel> pixels(static_cast<size_t>(rect.area()));
+      if (!raw.empty()) {  // an empty image has no buffers to copy between
+        std::memcpy(pixels.data(), raw.data(), raw.size());
+      }
+      client_cpu_.Charge(cpucost::kDecodePerByte * static_cast<double>(enc_len));
+      client_cache_[static_cast<uint64_t>(hash)] = pixels;
+      ApplyImage(rect, pixels);
+      break;
+    }
+    case Msg::kImageCached: {
+      Rect rect;
+      int64_t hash;
+      if (!r.RectVal(&rect) || !r.I64(&hash)) {
+        break;
+      }
+      // A reference whose rect disagrees with the cached image's size is
+      // malformed: drop it rather than read past the cached pixels.
+      auto it = client_cache_.find(static_cast<uint64_t>(hash));
+      if (it != client_cache_.end() &&
+          it->second.size() == static_cast<size_t>(rect.area())) {
+        ApplyImage(rect, it->second);
+      }
+      break;
+    }
+    case Msg::kAudio:
+      ReceiveAudio(payload);  // counts the decoded output volume
+      break;
+    default:
+      break;
   }
 }
 

@@ -20,16 +20,11 @@
 #define THINC_SRC_BASELINES_RDP_SYSTEM_H_
 
 #include <map>
-#include <memory>
 #include <optional>
 #include <set>
 #include <string>
 
-#include "src/baselines/send_queue.h"
-#include "src/baselines/system.h"
-#include "src/display/window_server.h"
-#include "src/net/connection.h"
-#include "src/protocol/wire.h"
+#include "src/baselines/wire_baseline.h"
 
 namespace thinc {
 
@@ -49,32 +44,16 @@ struct RdpOptions {
 RdpOptions MakeRdpOptions(bool wan_profile);
 RdpOptions MakeIcaOptions(bool wan_profile);
 
-class RdpSystem : public RemoteDisplaySystem {
+class RdpSystem : public WireBaseline {
  public:
   RdpSystem(EventLoop* loop, const LinkParams& link, int32_t screen_width,
             int32_t screen_height, RdpOptions options = {});
 
   std::string name() const override { return options_.name; }
-  DrawingApi* api() override { return server_ws_.get(); }
-  CpuAccount* app_cpu() override { return &server_cpu_; }
-  void ClientClick(Point location) override;
-  void SetInputCallback(InputFn fn) override { input_fn_ = std::move(fn); }
+  // Lossy ~4:1 audio codec ("lower audio fidelity due to compression").
   void SubmitAudio(std::span<const uint8_t> pcm, SimTime timestamp) override;
   bool SupportsViewport() const override { return true; }
   void SetViewport(int32_t width, int32_t height) override;
-  void SetVideoProbeRect(const Rect& rect) override { probe_rect_ = rect; }
-
-  int64_t BytesToClient() const override {
-    return conn_->BytesDeliveredTo(Transport::kClient);
-  }
-  SimTime LastDeliveryToClient() const override {
-    return conn_->LastDeliveryTo(Transport::kClient);
-  }
-  SimTime ClientLastProcessedAt() const override { return client_processed_at_; }
-  const std::vector<SimTime>& VideoFrameTimes() const override {
-    return video_frame_times_;
-  }
-  int64_t AudioBytesDelivered() const override { return audio_bytes_; }
   const Surface* ClientFramebuffer() const override { return &client_fb_; }
 
  private:
@@ -110,34 +89,18 @@ class RdpSystem : public RemoteDisplaySystem {
 
   void SendOrder(Msg type, WireWriter* body, SimTime release, int64_t key = -1);
   void SendImage(const Rect& rect, std::span<const Pixel> pixels, bool video_hint);
-  void OnClientReceive(std::span<const uint8_t> data);
-  void OnServerReceive(std::span<const uint8_t> data);
+  void HandleClientFrame(uint8_t type, std::span<const uint8_t> payload) override;
   void ApplyImage(const Rect& rect, const std::vector<Pixel>& pixels);
 
-  EventLoop* loop_;
   RdpOptions options_;
-  CpuAccount server_cpu_;
-  CpuAccount client_cpu_;
-  std::unique_ptr<Transport> conn_;
-  std::unique_ptr<SendQueue> out_;
-  std::unique_ptr<RdpDriver> driver_;
-  std::unique_ptr<WindowServer> server_ws_;
   Surface client_fb_;
 
   // Bitmap cache: hashes of image payloads both sides hold.
   std::set<uint64_t> bitmap_cache_;
   // Client-side copy of cached payloads, keyed by hash.
   std::map<uint64_t, std::vector<Pixel>> client_cache_;
-  std::map<uint64_t, Rect> client_cache_geometry_;
 
-  FrameParser client_parser_;
-  FrameParser server_parser_;
-  InputFn input_fn_;
   std::optional<Rect> viewport_;
-  SimTime client_processed_at_ = 0;
-  std::vector<SimTime> video_frame_times_;
-  std::optional<Rect> probe_rect_;
-  int64_t audio_bytes_ = 0;
 };
 
 }  // namespace thinc

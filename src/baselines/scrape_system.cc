@@ -1,6 +1,5 @@
 #include "src/baselines/scrape_system.h"
 
-#include <algorithm>
 #include <cstring>
 
 #include "src/codec/hextile.h"
@@ -9,6 +8,16 @@
 #include "src/util/logging.h"
 
 namespace thinc {
+namespace {
+
+// Each relay leg contributes half the end-to-end RTT.
+LinkParams RelayLeg(const LinkParams& link) {
+  LinkParams leg = link;
+  leg.rtt = link.rtt / 2;
+  return leg;
+}
+
+}  // namespace
 
 ScrapeOptions MakeVncOptions(bool aggressive) {
   ScrapeOptions o;
@@ -30,34 +39,19 @@ ScrapeOptions MakeGotomypcOptions() {
 ScrapeSystem::ScrapeSystem(EventLoop* loop, const LinkParams& link,
                            int32_t screen_width, int32_t screen_height,
                            ScrapeOptions options)
-    : loop_(loop), options_(std::move(options)),
-      server_cpu_(loop, kServerCpuSpeed, options_.server_cpu_cores),
-      client_cpu_(loop, kClientCpuSpeed), client_fb_(screen_width, screen_height,
-                                                     kBlack) {
+    : WireBaseline(loop, options.relay ? RelayLeg(link) : link,
+                   /*server_cpu_cores=*/1, static_cast<uint8_t>(Msg::kInput),
+                   kNoAudio),
+      options_(std::move(options)), client_fb_(screen_width, screen_height, kBlack) {
   if (options_.relay) {
-    // Two legs, each contributing half the end-to-end RTT, joined by the
-    // hosted intermediate server.
-    LinkParams leg = link;
-    leg.rtt = link.rtt / 2;
-    conn_ = std::make_unique<Connection>(loop, leg);
-    conn_client_ = std::make_unique<Connection>(loop, leg);
+    // The hosted intermediate server joins the server leg to a client leg.
+    conn_client_ = std::make_unique<Connection>(loop, RelayLeg(link));
     relay_ = std::make_unique<Relay>(conn_.get(), Transport::kClient,
                                      conn_client_.get(), Transport::kServer);
-    conn_client_->SetReceiver(Transport::kClient,
-                              [this](std::span<const uint8_t> d) {
-                                OnClientReceive(d);
-                              });
-  } else {
-    conn_ = std::make_unique<Connection>(loop, link);
-    conn_->SetReceiver(Transport::kClient,
-                       [this](std::span<const uint8_t> d) { OnClientReceive(d); });
+    SetClientLeg(conn_client_.get());
   }
-  conn_->SetReceiver(Transport::kServer,
-                     [this](std::span<const uint8_t> d) { OnServerReceive(d); });
-  out_ = std::make_unique<SendQueue>(loop, conn_.get(), Transport::kServer);
-  driver_ = std::make_unique<ScrapeDriver>(this);
-  server_ws_ = std::make_unique<WindowServer>(screen_width, screen_height,
-                                              driver_.get(), &server_cpu_);
+  HostWindowServer(std::make_unique<ScrapeDriver>(this), screen_width,
+                   screen_height);
   // The client opens with an initial update request (RFB handshake).
   ClientRequestUpdate();
 }
@@ -146,47 +140,20 @@ void ScrapeSystem::EncodeAndSend() {
   ++updates_sent_;
 }
 
-void ScrapeSystem::ClientClick(Point location) {
-  WireWriter w;
-  w.PointVal(location);
-  std::vector<uint8_t> payload = w.Take();
-  client_leg()->Send(Transport::kClient,
-                     BuildFrame(static_cast<MsgType>(Msg::kInput), payload));
-}
-
-void ScrapeSystem::OnServerReceive(std::span<const uint8_t> data) {
-  server_parser_.Feed(data);
-  while (auto frame = server_parser_.Next()) {
-    switch (static_cast<Msg>(frame->type)) {
-      case Msg::kRequest:
-        request_pending_ = true;
-        MaybeAnswer();
-        break;
-      case Msg::kInput: {
-        WireReader r(frame->payload);
-        Point p;
-        if (r.PointVal(&p)) {
-          server_ws_->InjectInput(p);
-          if (input_fn_) {
-            input_fn_(p);
-          }
-        }
-        break;
-      }
-      default:
-        break;
-    }
+void ScrapeSystem::HandleServerFrame(uint8_t type, std::span<const uint8_t> payload) {
+  if (static_cast<Msg>(type) == Msg::kRequest) {
+    request_pending_ = true;
+    MaybeAnswer();
+    return;
   }
+  WireBaseline::HandleServerFrame(type, payload);
 }
 
-void ScrapeSystem::OnClientReceive(std::span<const uint8_t> data) {
-  client_parser_.Feed(data);
-  while (auto frame = client_parser_.Next()) {
-    if (static_cast<Msg>(frame->type) == Msg::kUpdate) {
-      HandleUpdate(frame->payload);
-      // Pull model: processed this update, ask for the next.
-      ClientRequestUpdate();
-    }
+void ScrapeSystem::HandleClientFrame(uint8_t type, std::span<const uint8_t> payload) {
+  if (static_cast<Msg>(type) == Msg::kUpdate) {
+    HandleUpdate(payload);
+    // Pull model: processed this update, ask for the next.
+    ClientRequestUpdate();
   }
 }
 
@@ -232,52 +199,13 @@ void ScrapeSystem::HandleUpdate(std::span<const uint8_t> payload) {
     if (viewport_.has_value() && options_.resize_on_client) {
       // GoToMyPC PDA: full-resolution data arrives; the *client* resamples —
       // latency up, bandwidth unchanged (Section 8.3).
-      client_cpu_.Charge(static_cast<double>(rect.area()) *
-                         cpucost::kClientResamplePerPixel);
-      int32_t sw = server_ws_->screen().width();
-      int32_t sh = server_ws_->screen().height();
-      int32_t vx1 = rect.x * viewport_->width / sw;
-      int32_t vy1 = rect.y * viewport_->height / sh;
-      int32_t vx2 = (rect.right() * viewport_->width + sw - 1) / sw;
-      int32_t vy2 = (rect.bottom() * viewport_->height + sh - 1) / sh;
-      Rect dst = Rect::FromEdges(vx1, vy1, vx2, vy2).Intersect(client_fb_.bounds());
-      // Nearest-neighbour resample: the cheap algorithm a constrained client
-      // uses (ICA/GoToMyPC display quality is "barely readable").
-      for (int32_t y = dst.y; y < dst.bottom(); ++y) {
-        for (int32_t x = dst.x; x < dst.right(); ++x) {
-          int32_t sx = x * sw / viewport_->width - rect.x;
-          int32_t sy = y * sh / viewport_->height - rect.y;
-          sx = std::clamp(sx, 0, rect.width - 1);
-          sy = std::clamp(sy, 0, rect.height - 1);
-          client_fb_.Put(x, y,
-                         pixels[static_cast<size_t>(sy) * rect.width + sx]);
-        }
-      }
+      ResampleOnClient(rect, pixels, *viewport_, &client_fb_);
     } else {
       client_fb_.PutPixels(rect, pixels);
     }
     covered = covered.Union(rect);
   }
-  client_processed_at_ = std::max(client_processed_at_, client_cpu_.busy_until());
-
-  if (probe_rect_.has_value()) {
-    Rect probe = *probe_rect_;
-    if (viewport_.has_value() && !options_.resize_on_client) {
-      probe = probe.Intersect(*viewport_);
-    }
-    if (!probe.empty() &&
-        covered.Intersect(probe).Area() * 10 >= probe.area() * 3) {
-      video_frame_times_.push_back(loop_->now());
-    }
-  }
-}
-
-int64_t ScrapeSystem::BytesToClient() const {
-  return client_leg()->BytesDeliveredTo(Transport::kClient);
-}
-
-SimTime ScrapeSystem::LastDeliveryToClient() const {
-  return client_leg()->LastDeliveryTo(Transport::kClient);
+  ProbeVideo(covered, options_.resize_on_client ? std::nullopt : viewport_);
 }
 
 }  // namespace thinc

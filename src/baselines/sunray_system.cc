@@ -12,19 +12,10 @@ namespace thinc {
 SunRaySystem::SunRaySystem(EventLoop* loop, const LinkParams& link,
                            int32_t screen_width, int32_t screen_height,
                            SunRayOptions options)
-    : loop_(loop), options_(options),
-      server_cpu_(loop, kServerCpuSpeed, options_.server_cpu_cores),
-      client_cpu_(loop, kClientCpuSpeed),
-      conn_(std::make_unique<Connection>(loop, link)),
-      out_(std::make_unique<SendQueue>(loop, conn_.get(), Transport::kServer)),
-      driver_(std::make_unique<SunRayDriver>(this)),
-      client_fb_(screen_width, screen_height, kBlack) {
-  server_ws_ = std::make_unique<WindowServer>(screen_width, screen_height,
-                                              driver_.get(), &server_cpu_);
-  conn_->SetReceiver(Transport::kClient,
-                     [this](std::span<const uint8_t> d) { OnClientReceive(d); });
-  conn_->SetReceiver(Transport::kServer,
-                     [this](std::span<const uint8_t> d) { OnServerReceive(d); });
+    : WireBaseline(loop, link, options.server_cpu_cores,
+                   static_cast<uint8_t>(Msg::kInput), static_cast<uint8_t>(Msg::kAudio)),
+      options_(options), client_fb_(screen_width, screen_height, kBlack) {
+  HostWindowServer(std::make_unique<SunRayDriver>(this), screen_width, screen_height);
 }
 
 void SunRaySystem::SendFill(const Region& region, Pixel color) {
@@ -152,121 +143,75 @@ void SunRaySystem::InferTile(const Rect& rect) {
   out_->Enqueue(BuildFrame(static_cast<MsgType>(Msg::kRaw), payload), release, key);
 }
 
-void SunRaySystem::SubmitAudio(std::span<const uint8_t> pcm, SimTime timestamp) {
-  WireWriter w;
-  w.I64(timestamp);
-  w.U32(static_cast<uint32_t>(pcm.size()));
-  w.Bytes(pcm);
-  std::vector<uint8_t> payload = w.Take();
-  out_->Enqueue(BuildFrame(static_cast<MsgType>(Msg::kAudio), payload), loop_->now());
-}
-
-void SunRaySystem::ClientClick(Point location) {
-  WireWriter w;
-  w.PointVal(location);
-  std::vector<uint8_t> payload = w.Take();
-  conn_->Send(Transport::kClient,
-              BuildFrame(static_cast<MsgType>(Msg::kInput), payload));
-}
-
-void SunRaySystem::OnServerReceive(std::span<const uint8_t> data) {
-  server_parser_.Feed(data);
-  while (auto frame = server_parser_.Next()) {
-    if (static_cast<Msg>(frame->type) == Msg::kInput) {
-      WireReader r(frame->payload);
-      Point p;
-      if (r.PointVal(&p)) {
-        server_ws_->InjectInput(p);
-        if (input_fn_) {
-          input_fn_(p);
-        }
+void SunRaySystem::HandleClientFrame(uint8_t type, std::span<const uint8_t> payload) {
+  WireReader r(payload);
+  switch (static_cast<Msg>(type)) {
+    case Msg::kFill: {
+      Region region;
+      uint32_t color;
+      if (r.RegionVal(&region) && r.U32(&color)) {
+        client_fb_.FillRegion(region, color);
+        client_cpu_.Charge(1.0);
       }
+      break;
     }
-  }
-}
-
-void SunRaySystem::OnClientReceive(std::span<const uint8_t> data) {
-  client_parser_.Feed(data);
-  while (auto frame = client_parser_.Next()) {
-    WireReader r(frame->payload);
-    switch (static_cast<Msg>(frame->type)) {
-      case Msg::kFill: {
-        Region region;
-        uint32_t color;
-        if (r.RegionVal(&region) && r.U32(&color)) {
-          client_fb_.FillRegion(region, color);
-          client_cpu_.Charge(1.0);
-        }
+    case Msg::kCopy: {
+      Rect src;
+      Point dst;
+      if (r.RectVal(&src) && r.PointVal(&dst)) {
+        client_fb_.CopyFrom(client_fb_, src, dst);
+        client_cpu_.Charge(1.0);
+      }
+      break;
+    }
+    case Msg::kRaw: {
+      Rect rect;
+      uint8_t mode;
+      uint32_t raw_len, enc_len;
+      if (!r.RectVal(&rect) || !r.U8(&mode) || !r.U32(&raw_len) ||
+          !r.U32(&enc_len)) {
         break;
       }
-      case Msg::kCopy: {
-        Rect src;
-        Point dst;
-        if (r.RectVal(&src) && r.PointVal(&dst)) {
-          client_fb_.CopyFrom(client_fb_, src, dst);
-          client_cpu_.Charge(1.0);
-        }
+      std::vector<uint8_t> encoded;
+      if (!r.Bytes(enc_len, &encoded)) {
         break;
       }
-      case Msg::kRaw: {
-        Rect rect;
-        uint8_t mode;
-        uint32_t raw_len, enc_len;
-        if (!r.RectVal(&rect) || !r.U8(&mode) || !r.U32(&raw_len) ||
-            !r.U32(&enc_len)) {
+      std::vector<Pixel> pixels;
+      if (mode == 1) {
+        std::vector<uint8_t> raw;
+        if (!LzssDecode(encoded, &raw) || raw.size() != raw_len ||
+            raw.size() != static_cast<size_t>(rect.area()) * sizeof(Pixel)) {
           break;
         }
-        std::vector<uint8_t> encoded;
-        if (!r.Bytes(enc_len, &encoded)) {
+        pixels.resize(static_cast<size_t>(rect.area()));
+        std::memcpy(pixels.data(), raw.data(), raw.size());
+      } else {
+        if (!Rle32Decode(encoded, &pixels) ||
+            pixels.size() != static_cast<size_t>(rect.area())) {
           break;
         }
-        std::vector<Pixel> pixels;
-        if (mode == 1) {
-          std::vector<uint8_t> raw;
-          if (!LzssDecode(encoded, &raw) || raw.size() != raw_len ||
-              raw.size() != static_cast<size_t>(rect.area()) * sizeof(Pixel)) {
-            break;
-          }
-          pixels.resize(static_cast<size_t>(rect.area()));
-          std::memcpy(pixels.data(), raw.data(), raw.size());
-        } else {
-          if (!Rle32Decode(encoded, &pixels) ||
-              pixels.size() != static_cast<size_t>(rect.area())) {
-            break;
-          }
-        }
-        client_fb_.PutPixels(rect, pixels);
-        client_cpu_.Charge(cpucost::kDecodePerByte * static_cast<double>(enc_len));
-        if (probe_rect_.has_value() &&
-            Region(rect).Intersect(*probe_rect_).Area() * 10 >=
-                probe_rect_->area() * 3) {
-          video_frame_times_.push_back(loop_->now());
-        }
-        break;
       }
-      case Msg::kBitmapFill: {
-        Rect rect;
-        uint32_t bg, fg;
-        Bitmap mask;
-        if (r.RectVal(&rect) && r.U32(&bg) && r.U32(&fg) && r.BitmapVal(&mask)) {
-          client_fb_.FillStippled(Region(rect), mask, rect.origin(), fg, bg,
-                                  /*transparent_bg=*/false);
-          client_cpu_.Charge(0.002 * static_cast<double>(rect.area()));
-        }
-        break;
-      }
-      case Msg::kAudio: {
-        int64_t ts;
-        uint32_t len;
-        if (r.I64(&ts) && r.U32(&len)) {
-          audio_bytes_ += len;
-        }
-        break;
-      }
-      default:
-        break;
+      client_fb_.PutPixels(rect, pixels);
+      client_cpu_.Charge(cpucost::kDecodePerByte * static_cast<double>(enc_len));
+      ProbeVideo(Region(rect));
+      break;
     }
-    client_processed_at_ = std::max(client_processed_at_, client_cpu_.busy_until());
+    case Msg::kBitmapFill: {
+      Rect rect;
+      uint32_t bg, fg;
+      Bitmap mask;
+      if (r.RectVal(&rect) && r.U32(&bg) && r.U32(&fg) && r.BitmapVal(&mask)) {
+        client_fb_.FillStippled(Region(rect), mask, rect.origin(), fg, bg,
+                                /*transparent_bg=*/false);
+        client_cpu_.Charge(0.002 * static_cast<double>(rect.area()));
+      }
+      break;
+    }
+    case Msg::kAudio:
+      ReceiveAudio(payload);
+      break;
+    default:
+      break;
   }
 }
 

@@ -18,15 +18,9 @@
 #ifndef THINC_SRC_BASELINES_SUNRAY_SYSTEM_H_
 #define THINC_SRC_BASELINES_SUNRAY_SYSTEM_H_
 
-#include <memory>
-#include <optional>
 #include <string>
 
-#include "src/baselines/send_queue.h"
-#include "src/baselines/system.h"
-#include "src/display/window_server.h"
-#include "src/net/connection.h"
-#include "src/protocol/wire.h"
+#include "src/baselines/wire_baseline.h"
 
 namespace thinc {
 
@@ -36,30 +30,12 @@ struct SunRayOptions {
   int server_cpu_cores = 1;
 };
 
-class SunRaySystem : public RemoteDisplaySystem {
+class SunRaySystem : public WireBaseline {
  public:
   SunRaySystem(EventLoop* loop, const LinkParams& link, int32_t screen_width,
                int32_t screen_height, SunRayOptions options = {});
 
   std::string name() const override { return "SunRay"; }
-  DrawingApi* api() override { return server_ws_.get(); }
-  CpuAccount* app_cpu() override { return &server_cpu_; }
-  void ClientClick(Point location) override;
-  void SetInputCallback(InputFn fn) override { input_fn_ = std::move(fn); }
-  void SubmitAudio(std::span<const uint8_t> pcm, SimTime timestamp) override;
-  void SetVideoProbeRect(const Rect& rect) override { probe_rect_ = rect; }
-
-  int64_t BytesToClient() const override {
-    return conn_->BytesDeliveredTo(Transport::kClient);
-  }
-  SimTime LastDeliveryToClient() const override {
-    return conn_->LastDeliveryTo(Transport::kClient);
-  }
-  SimTime ClientLastProcessedAt() const override { return client_processed_at_; }
-  const std::vector<SimTime>& VideoFrameTimes() const override {
-    return video_frame_times_;
-  }
-  int64_t AudioBytesDelivered() const override { return audio_bytes_; }
   const Surface* ClientFramebuffer() const override { return &client_fb_; }
 
  private:
@@ -133,26 +109,10 @@ class SunRaySystem : public RemoteDisplaySystem {
   void InferAndSend(const Rect& rect, bool from_video);
   // Classifies and ships one tile: solid fill, two-color bitmap, or RAW.
   void InferTile(const Rect& tile);
-  void OnClientReceive(std::span<const uint8_t> data);
-  void OnServerReceive(std::span<const uint8_t> data);
+  void HandleClientFrame(uint8_t type, std::span<const uint8_t> payload) override;
 
-  EventLoop* loop_;
   SunRayOptions options_;
-  CpuAccount server_cpu_;
-  CpuAccount client_cpu_;
-  std::unique_ptr<Transport> conn_;
-  std::unique_ptr<SendQueue> out_;
-  std::unique_ptr<SunRayDriver> driver_;
-  std::unique_ptr<WindowServer> server_ws_;
   Surface client_fb_;
-
-  FrameParser client_parser_;
-  FrameParser server_parser_;
-  InputFn input_fn_;
-  SimTime client_processed_at_ = 0;
-  std::vector<SimTime> video_frame_times_;
-  std::optional<Rect> probe_rect_;
-  int64_t audio_bytes_ = 0;
 };
 
 }  // namespace thinc

@@ -44,23 +44,13 @@ XSystemOptions MakeNxOptions(bool wan_profile) {
 
 XSystem::XSystem(EventLoop* loop, const LinkParams& link, int32_t screen_width,
                  int32_t screen_height, XSystemOptions options)
-    : loop_(loop), link_(link), options_(std::move(options)), width_(screen_width),
+    : WireBaseline(loop, link, options.server_cpu_cores,
+                   static_cast<uint8_t>(XMsg::kInput),
+                   static_cast<uint8_t>(XMsg::kAudio)),
+      link_(link), options_(std::move(options)), width_(screen_width),
       height_(screen_height),
-      server_cpu_(loop, kServerCpuSpeed, options_.server_cpu_cores),
-      client_cpu_(loop, kClientCpuSpeed),
-      conn_(std::make_unique<Connection>(loop, link)),
-      out_(std::make_unique<SendQueue>(loop, conn_.get(), Transport::kServer)),
       client_ws_(std::make_unique<WindowServer>(screen_width, screen_height,
-                                                /*driver=*/nullptr, &client_cpu_)) {
-  conn_->SetReceiver(Transport::kClient,
-                     [this](std::span<const uint8_t> d) { OnClientReceive(d); });
-  conn_->SetReceiver(Transport::kServer,
-                     [this](std::span<const uint8_t> d) { OnServerReceive(d); });
-}
-
-void XSystem::StampClient() {
-  client_processed_at_ = std::max(client_processed_at_, client_cpu_.busy_until());
-}
+                                                /*driver=*/nullptr, &client_cpu_)) {}
 
 void XSystem::Submit(XMsg type, WireWriter* body, bool image_payload,
                      const Rect* image_rect, std::span<const Pixel> image) {
@@ -302,56 +292,12 @@ void XSystem::VideoFrame(int32_t stream_id, const Yv12Frame& frame) {
 
 void XSystem::VideoStreamDestroy(int32_t stream_id) { streams_.erase(stream_id); }
 
-void XSystem::SubmitAudio(std::span<const uint8_t> pcm, SimTime timestamp) {
-  WireWriter w;
-  w.I64(timestamp);
-  w.U32(static_cast<uint32_t>(pcm.size()));
-  w.Bytes(pcm);
-  std::vector<uint8_t> payload = w.Take();
-  out_->Enqueue(BuildFrame(static_cast<MsgType>(XMsg::kAudio), payload),
-                loop_->now());
-}
-
-void XSystem::ClientClick(Point location) {
-  WireWriter w;
-  w.PointVal(location);
-  std::vector<uint8_t> payload = w.Take();
-  std::vector<uint8_t> frame =
-      BuildFrame(static_cast<MsgType>(XMsg::kInput), payload);
-  conn_->Send(Transport::kClient, frame);
-}
-
-void XSystem::OnServerReceive(std::span<const uint8_t> data) {
-  server_parser_.Feed(data);
-  while (auto frame = server_parser_.Next()) {
-    if (static_cast<XMsg>(frame->type) == XMsg::kInput) {
-      WireReader r(frame->payload);
-      Point p;
-      if (r.PointVal(&p) && input_fn_) {
-        input_fn_(p);
-      }
-    }
-  }
-}
-
 // --- Client side ---------------------------------------------------------------
-
-void XSystem::OnClientReceive(std::span<const uint8_t> data) {
-  client_parser_.Feed(data);
-  while (auto frame = client_parser_.Next()) {
-    HandleClientFrame(frame->type, frame->payload);
-  }
-}
 
 void XSystem::HandleClientFrame(uint8_t type, std::span<const uint8_t> payload) {
   XMsg msg = static_cast<XMsg>(type);
   if (msg == XMsg::kAudio) {
-    WireReader r(payload);
-    int64_t ts;
-    uint32_t len;
-    if (r.I64(&ts) && r.U32(&len)) {
-      audio_bytes_ += len;
-    }
+    ReceiveAudio(payload);
     return;
   }
 
@@ -484,7 +430,7 @@ void XSystem::HandleClientFrame(uint8_t type, std::span<const uint8_t> payload) 
         client_ws_->PutImage(dst, image_rect, image_pixels);
       }
       if (msg == XMsg::kVideoImage) {
-        video_frame_times_.push_back(loop_->now());
+        NoteVideoFrame();
       }
       break;
     }
@@ -510,7 +456,6 @@ void XSystem::HandleClientFrame(uint8_t type, std::span<const uint8_t> payload) 
     default:
       break;
   }
-  StampClient();
 }
 
 }  // namespace thinc

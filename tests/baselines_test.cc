@@ -5,6 +5,7 @@
 #include "src/baselines/scrape_system.h"
 #include "src/baselines/sunray_system.h"
 #include "src/baselines/x_system.h"
+#include "src/codec/lzss.h"
 #include "src/util/prng.h"
 
 namespace thinc {
@@ -406,6 +407,79 @@ TEST(RdpSystemTest, IcaClientResizeCostsClientCpuNotBandwidth) {
   auto [rdp_bytes, rdp_done] = run(MakeRdpOptions(false));
   EXPECT_EQ(ica_bytes, rdp_bytes);          // no bandwidth improvement
   EXPECT_GT(ica_done, rdp_done + 500);      // client resample overhead
+}
+
+// An RdpSystem whose server end can put crafted orders on the wire.
+class RdpWireInjector : public RdpSystem {
+ public:
+  using RdpSystem::RdpSystem;
+
+  // Order type codes of the RDP wire.
+  static constexpr uint8_t kImage = 4;
+  static constexpr uint8_t kImageCached = 5;
+
+  void SendImage(const Rect& rect, int64_t hash, std::span<const Pixel> pixels) {
+    std::span<const uint8_t> raw(reinterpret_cast<const uint8_t*>(pixels.data()),
+                                 pixels.size() * sizeof(Pixel));
+    std::vector<uint8_t> encoded = LzssEncode(raw);
+    WireWriter w;
+    w.RectVal(rect);
+    w.I64(hash);
+    w.U32(static_cast<uint32_t>(raw.size()));
+    w.U32(static_cast<uint32_t>(encoded.size()));
+    w.Bytes(encoded);
+    Send(kImage, w.Take());
+  }
+
+  void SendImageCached(const Rect& rect, int64_t hash) {
+    WireWriter w;
+    w.RectVal(rect);
+    w.I64(hash);
+    Send(kImageCached, w.Take());
+  }
+
+ private:
+  void Send(uint8_t type, const std::vector<uint8_t>& payload) {
+    conn_->Send(Transport::kServer, BuildFrame(static_cast<MsgType>(type), payload));
+  }
+};
+
+TEST(RdpSystemTest, CachedImageRefLargerThanCachedImageDropped) {
+  // A 2x2 image goes into the client cache; a cache reference then names it
+  // under a 64x64 rect. Applying it would read 4096 pixels out of 4, so the
+  // client drops the reference — without a viewport, under RDP's clip and
+  // under ICA's client-side resize.
+  struct Mode {
+    RdpOptions options;
+    bool viewport;
+  };
+  for (const Mode& mode : {Mode{MakeRdpOptions(false), false},
+                           Mode{MakeRdpOptions(false), true},
+                           Mode{MakeIcaOptions(false), true}}) {
+    SCOPED_TRACE(mode.options.name + (mode.viewport ? " viewport" : ""));
+    EventLoop loop;
+    RdpWireInjector sys(&loop, LanDesktopLink(), 128, 128, mode.options);
+    if (mode.viewport) {
+      sys.SetViewport(96, 96);
+    }
+    const std::vector<Pixel> white(4, kWhite);
+    sys.SendImage(Rect{0, 0, 2, 2}, 77, white);
+    sys.SendImageCached(Rect{0, 0, 64, 64}, 77);
+    loop.Run();
+    EXPECT_EQ(sys.ClientFramebuffer()->At(0, 0), kWhite);
+    EXPECT_EQ(sys.ClientFramebuffer()->At(10, 10), kBlack);
+  }
+}
+
+TEST(RdpSystemTest, IcaResampleOfEmptyImageDrawsNothing) {
+  // A zero-width image still maps onto a non-empty client rect when scaled;
+  // there are no pixels to sample, so nothing is drawn.
+  EventLoop loop;
+  RdpWireInjector sys(&loop, LanDesktopLink(), 128, 128, MakeIcaOptions(false));
+  sys.SetViewport(96, 96);
+  sys.SendImage(Rect{1, 0, 0, 5}, 78, {});
+  loop.Run();
+  EXPECT_EQ(sys.ClientFramebuffer()->At(0, 0), kBlack);
 }
 
 TEST(LocalPcTest, RendersLocallyWithoutDisplayTraffic) {
