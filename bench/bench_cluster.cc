@@ -90,16 +90,6 @@ ClusterOptions MakeOptions(const ClusterExperimentConfig& c) {
   return co;
 }
 
-int64_t PercentileUs(std::vector<int64_t> v, double p) {
-  if (v.empty()) {
-    return 0;
-  }
-  std::sort(v.begin(), v.end());
-  const size_t idx =
-      static_cast<size_t>(p * static_cast<double>(v.size() - 1) + 0.5);
-  return v[idx];
-}
-
 double Ms(int64_t us) { return static_cast<double>(us) / kMillisecond; }
 
 // One full-framebuffer refresh at the session link rate: the blackout a
@@ -260,7 +250,7 @@ ClusterRun RunCluster(const RunSpec& spec, const TelemetryConfig& tcfg) {
       ++r.spans_completed;
       pooled.push_back(s.damaged.ts - s.queued.ts);
     }
-    r.pooled_p95_ms = Ms(PercentileUs(std::move(pooled), 0.95));
+    r.pooled_p95_ms = Ms(bench::PercentileUs(std::move(pooled), 0.95));
   }
   for (const MigrationRecord& rec : cluster.migrations()) {
     if (rec.resume == 0) {
@@ -343,8 +333,8 @@ MigrationScenario RunMigrationScenario(int n, int pages,
   spec.migration = false;
   spec.trace_path = nullptr;
   m.without = RunCluster(spec, tcfg);
-  m.blackout_p50_ms = Ms(PercentileUs(m.with.blackouts_us, 0.50));
-  m.blackout_p95_ms = Ms(PercentileUs(m.with.blackouts_us, 0.95));
+  m.blackout_p50_ms = Ms(bench::PercentileUs(m.with.blackouts_us, 0.50));
+  m.blackout_p95_ms = Ms(bench::PercentileUs(m.with.blackouts_us, 0.95));
   m.full_refresh_ms = FullRefreshMs(spec.config);
   return m;
 }

@@ -23,7 +23,6 @@
 // THINC_CHECKing that deltas engage, save bytes, and lose nothing.
 #include "bench/bench_common.h"
 
-#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -77,16 +76,6 @@ std::vector<Pixel> WindowFrame(int32_t w, int32_t h, int round) {
   return px;
 }
 
-int64_t PercentileUs(std::vector<int64_t> v, double p) {
-  if (v.empty()) {
-    return 0;
-  }
-  std::sort(v.begin(), v.end());
-  const size_t idx =
-      static_cast<size_t>(p * static_cast<double>(v.size() - 1) + 0.5);
-  return v[idx];
-}
-
 struct DesktopRun {
   int64_t bytes = 0;           // server->client wire volume
   int64_t delta_hits = 0;
@@ -135,7 +124,7 @@ DesktopRun RunDesktop(const LinkParams& link, bool adapt, int level, int rounds,
       }
     }
   }
-  out.p95_round_us = PercentileUs(std::move(round_latency), 0.95);
+  out.p95_round_us = bench::PercentileUs(std::move(round_latency), 0.95);
   return out;
 }
 

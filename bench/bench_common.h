@@ -10,6 +10,8 @@
 #ifndef THINC_BENCH_BENCH_COMMON_H_
 #define THINC_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -46,6 +48,18 @@ inline int32_t WebPageCount() {
     }
   }
   return 54;  // the full i-Bench-style suite
+}
+
+// Nearest-rank percentile over integer microseconds (deterministic; no FP
+// accumulation order dependence). 0 for an empty sample.
+inline int64_t PercentileUs(std::vector<int64_t> v, double p) {
+  if (v.empty()) {
+    return 0;
+  }
+  std::sort(v.begin(), v.end());
+  const size_t idx =
+      static_cast<size_t>(p * static_cast<double>(v.size() - 1) + 0.5);
+  return v[idx];
 }
 
 inline void PrintHeader(const char* title, const char* columns) {

@@ -69,16 +69,6 @@ DeviceProfile BenchPhone() {
   return p;
 }
 
-int64_t PercentileUs(std::vector<int64_t> v, double p) {
-  if (v.empty()) {
-    return 0;
-  }
-  std::sort(v.begin(), v.end());
-  const size_t idx =
-      static_cast<size_t>(p * static_cast<double>(v.size() - 1) + 0.5);
-  return v[idx];
-}
-
 void AppendF(std::string* out, const char* fmt, ...) {
   char buf[512];
   va_list args;
@@ -188,8 +178,8 @@ ClassRun RunDeviceClass(const char* name, const DeviceProfile& profile,
       lat.push_back(s.damaged.ts - s.queued.ts);
     }
   }
-  r.p50_ms = static_cast<double>(PercentileUs(lat, 0.50)) / kMillisecond;
-  r.p95_ms = static_cast<double>(PercentileUs(lat, 0.95)) / kMillisecond;
+  r.p50_ms = static_cast<double>(bench::PercentileUs(lat, 0.50)) / kMillisecond;
+  r.p95_ms = static_cast<double>(bench::PercentileUs(lat, 0.95)) / kMillisecond;
   telemetry.Configure(TelemetryConfig{});
   telemetry.ResetRuntime();
   return r;
@@ -316,7 +306,7 @@ FleetRun RunPopulation(int n, bool mixed, int pages) {
     }
   }
   r.pooled_p95_ms =
-      static_cast<double>(PercentileUs(std::move(pooled), 0.95)) / kMillisecond;
+      static_cast<double>(bench::PercentileUs(std::move(pooled), 0.95)) / kMillisecond;
   telemetry.Configure(TelemetryConfig{});
   telemetry.ResetRuntime();
   return r;

@@ -1,5 +1,7 @@
-// Figure 4: THINC average web page latency using the Table 2 remote sites
-// (the headless instrumented client of Section 8.1).
+// Figure 4: THINC average web page latency using the Table 2 remote sites.
+// The paper measured these with a headless instrumented client (Section
+// 8.1); here the same full client runs as on the LAN and decodes and draws
+// every update, so every row uses one client model.
 #include "bench/bench_common.h"
 
 using namespace thinc;

@@ -1,8 +1,8 @@
 // Microbenchmarks (google-benchmark): throughput of the substrate pieces
 // the system-level results rest on — codecs, raster ops, region algebra,
 // the Fant resampler, and YUV conversion — plus a buffer-architecture
-// section that A/B-measures server-side data movement (zero-copy vs the
-// legacy eager-copy behaviour) over an offscreen-heavy web workload.
+// section that measures server-side data movement of the zero-copy buffers
+// over an offscreen-heavy web workload.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -350,14 +350,13 @@ void BM_ThincFullPageSimulation(benchmark::State& state) {
 }
 BENCHMARK(BM_ThincFullPageSimulation);
 
-// --- Buffer architecture A/B -------------------------------------------------
+// --- Buffer architecture ----------------------------------------------------
 //
 // Translation-and-flush throughput over an offscreen-heavy web workload
 // (every page composites through pixmaps, so queue copies, encodes, and
-// send-queue traffic dominate server-side data movement). The same workload
-// runs twice: zero-copy buffers on, then the legacy eager-copy emulation.
-// Wire bytes and virtual time are identical by construction; only physical
-// data movement differs.
+// send-queue traffic dominate server-side data movement), with the
+// zero-copy buffer counters: bytes memcpy'd, allocations, shares, peak
+// resident payload bytes.
 
 struct BufferRun {
   BufferStats stats;
@@ -365,9 +364,8 @@ struct BufferRun {
   double commands_per_sec = 0;
 };
 
-BufferRun RunBufferWorkload(bool zero_copy) {
-  SetZeroCopyMode(zero_copy);
-  // Phase boundary: A/B sections must never bleed counts into each other —
+BufferRun RunBufferWorkload() {
+  // Phase boundary: the section must never bleed counts into the next one —
   // reset the buffer counters, the metrics registry, and any telemetry
   // runtime state together.
   BufferStats::Get().Reset();
@@ -388,48 +386,22 @@ BufferRun RunBufferWorkload(bool zero_copy) {
   r.commands = sys.client()->commands_applied();
   double secs = std::chrono::duration<double>(t1 - t0).count();
   r.commands_per_sec = secs > 0 ? static_cast<double>(r.commands) / secs : 0;
-  SetZeroCopyMode(true);
   return r;
 }
 
 void RunBufferSection() {
-  bench::PrintHeader("Buffer architecture: zero-copy vs legacy eager-copy",
+  bench::PrintHeader("Buffer architecture: zero-copy data movement",
                      "(12 offscreen-heavy web pages, LAN link)");
-  BufferRun zc = RunBufferWorkload(true);
-  BufferRun legacy = RunBufferWorkload(false);
+  BufferRun zc = RunBufferWorkload();
   std::printf("zero-copy:   %9.0f commands/sec  (%lld commands)\n",
               zc.commands_per_sec, static_cast<long long>(zc.commands));
   bench::PrintBufferStats("", zc.stats);
-  std::printf("legacy:      %9.0f commands/sec  (%lld commands)\n",
-              legacy.commands_per_sec, static_cast<long long>(legacy.commands));
-  bench::PrintBufferStats("", legacy.stats);
-  auto ratio = [](int64_t legacy_v, int64_t zc_v) {
-    return zc_v > 0 ? static_cast<double>(legacy_v) / static_cast<double>(zc_v)
-                    : 0.0;
-  };
-  std::printf(
-      "reduction:   %.1fx bytes memcpy'd, %.1fx allocations, "
-      "%.1fx peak payload bytes\n",
-      ratio(legacy.stats.copied_bytes, zc.stats.copied_bytes),
-      ratio(legacy.stats.allocations, zc.stats.allocations),
-      ratio(legacy.stats.peak_payload_bytes, zc.stats.peak_payload_bytes));
 
   std::FILE* f = std::fopen("BENCH_buffers.json", "w");
   if (f != nullptr) {
     std::fprintf(f, "{\n");
     bench::WriteBufferStatsJson(f, "zero_copy", zc.stats, zc.commands_per_sec);
-    std::fprintf(f, ",\n");
-    bench::WriteBufferStatsJson(f, "legacy", legacy.stats,
-                                legacy.commands_per_sec);
-    std::fprintf(f, ",\n  \"reduction\": {\n");
-    std::fprintf(f, "    \"memcpy_bytes\": %.2f,\n",
-                 ratio(legacy.stats.copied_bytes, zc.stats.copied_bytes));
-    std::fprintf(f, "    \"allocations\": %.2f,\n",
-                 ratio(legacy.stats.allocations, zc.stats.allocations));
-    std::fprintf(f, "    \"peak_payload_bytes\": %.2f\n",
-                 ratio(legacy.stats.peak_payload_bytes,
-                       zc.stats.peak_payload_bytes));
-    std::fprintf(f, "  }\n}\n");
+    std::fprintf(f, "\n}\n");
     std::fclose(f);
     std::printf("wrote BENCH_buffers.json\n");
   }

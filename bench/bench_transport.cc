@@ -93,16 +93,6 @@ LinkParams FleetNic() {
   return LinkParams{1'000'000, 20 * kMillisecond, 256 << 10, "fleet-nic"};
 }
 
-int64_t PercentileUs(std::vector<int64_t> v, double p) {
-  if (v.empty()) {
-    return 0;
-  }
-  std::sort(v.begin(), v.end());
-  const size_t idx =
-      static_cast<size_t>(p * static_cast<double>(v.size() - 1) + 0.5);
-  return v[idx];
-}
-
 struct FleetRun {
   int n = 0;
   int locals = 0;
@@ -192,7 +182,7 @@ FleetRun RunMixedFleet(int n, int locals, int pages_per_session) {
     }
   }
   r.pooled_p95_ms =
-      static_cast<double>(PercentileUs(std::move(pooled), 0.95)) / kMillisecond;
+      static_cast<double>(bench::PercentileUs(std::move(pooled), 0.95)) / kMillisecond;
   telemetry.Configure(TelemetryConfig{});
   telemetry.ResetRuntime();
   return r;

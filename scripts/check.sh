@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Pre-merge gate: tier-1 correctness plus a sanitizer pass over every test.
 #
+#   0. Fail if getenv appears under src/ outside src/measure/.
 #   1. Configure+build the `default` preset and run the full test suite
 #      (the tier-1 bar: everything must pass), then the bench smokes.
 #   2. Configure+build the `sanitize` preset (ASan+UBSan, build-asan/) and
@@ -19,6 +20,14 @@ case "${1:-}" in
   "") ;;
   *) echo "usage: scripts/check.sh [--sanitize-only | --tier1-only]" >&2; exit 2 ;;
 esac
+
+# Run-time switches stay out of the simulator core: an environment variable
+# may select bench inputs (src/measure/), never simulated behaviour.
+echo "== gate: no getenv under src/ outside src/measure/ =="
+if grep -rn --include='*.cc' --include='*.h' 'getenv' src | grep -v '^src/measure/'; then
+  echo "check.sh: getenv outside src/measure/ (listed above)" >&2
+  exit 1
+fi
 
 if [[ "$RUN_TIER1" == 1 ]]; then
   echo "== tier-1: default preset build + full ctest =="

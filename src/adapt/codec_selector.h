@@ -27,28 +27,6 @@ struct AdaptOptions {
   // Master switch: off keeps every server byte-identical to the
   // pre-adaptive stack (no observer installed, no reference kept).
   bool enabled = false;
-
-  // Updates below this pixel count never take the delta path: the block
-  // grid + header overhead dominates, and small updates already encode
-  // uncompressed (mirrors RawCommand::kCompressThresholdPixels).
-  int64_t min_delta_pixels = 2048;
-
-  // Delta is preferred when the estimated bandwidth is at or below this
-  // (the link, not the codec, is the bottleneck) ...
-  int64_t delta_max_bandwidth_bps = 50'000'000;
-  // ... or the estimated RTT is at or above this (WAN-shaped path: every
-  // byte saved shortens the window-bound delivery tail).
-  SimTime delta_min_rtt_us = 10 * kMillisecond;
-
-  // At or below this bandwidth the selector also subsamples fidelity —
-  // the adaptive equivalent of the ladder's fidelity rung, reached per
-  // connection instead of per host.
-  int64_t subsample_max_bandwidth_bps = 2'000'000;
-
-  // Degradation-ladder level at which the host forces at-least-delta
-  // regardless of the estimate (the codec rung between backlog caps and
-  // fidelity subsampling).
-  int ladder_force_level = 2;
 };
 
 class CodecSelector {

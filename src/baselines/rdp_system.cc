@@ -1,7 +1,6 @@
 #include "src/baselines/rdp_system.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "src/codec/lzss.h"
 #include "src/util/logging.h"
@@ -267,9 +266,7 @@ void RdpSystem::HandleClientFrame(uint8_t type, std::span<const uint8_t> payload
         std::vector<uint8_t> bytes;
         if (r.Bytes(static_cast<size_t>(tw) * th * sizeof(Pixel), &bytes)) {
           Surface tile(tw, th);
-          std::vector<Pixel> px(static_cast<size_t>(tw) * th);
-          std::memcpy(px.data(), bytes.data(), bytes.size());
-          tile.PutPixels(Rect{0, 0, tw, th}, px);
+          tile.PutPixels(Rect{0, 0, tw, th}, PixelsFromBytes(bytes));
           if (viewport_.has_value()) {
             if (options_.ica_client_resize) {
               break;  // ICA small-screen: folded into resampled image traffic
@@ -324,10 +321,7 @@ void RdpSystem::HandleClientFrame(uint8_t type, std::span<const uint8_t> payload
           raw.size() != static_cast<size_t>(rect.area()) * sizeof(Pixel)) {
         break;
       }
-      std::vector<Pixel> pixels(static_cast<size_t>(rect.area()));
-      if (!raw.empty()) {  // an empty image has no buffers to copy between
-        std::memcpy(pixels.data(), raw.data(), raw.size());
-      }
+      std::vector<Pixel> pixels = PixelsFromBytes(raw);
       client_cpu_.Charge(cpucost::kDecodePerByte * static_cast<double>(enc_len));
       client_cache_[static_cast<uint64_t>(hash)] = pixels;
       ApplyImage(rect, pixels);

@@ -10,6 +10,8 @@
 namespace thinc {
 namespace {
 
+constexpr SimTime kDefer = 5 * kMillisecond;  // update aggregation window
+
 // Each relay leg contributes half the end-to-end RTT.
 LinkParams RelayLeg(const LinkParams& link) {
   LinkParams leg = link;
@@ -79,7 +81,7 @@ void ScrapeSystem::MaybeAnswer() {
     return;
   }
   answer_scheduled_ = true;
-  loop_->Schedule(options_.defer, [this] {
+  loop_->Schedule(kDefer, [this] {
     answer_scheduled_ = false;
     EncodeAndSend();
   });

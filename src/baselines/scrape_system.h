@@ -32,7 +32,6 @@ struct ScrapeOptions {
   bool relay = false;              // GoToMyPC intermediate server
   // PDA mode: GoToMyPC resizes on the client; VNC clips the viewport.
   bool resize_on_client = false;
-  SimTime defer = 5 * kMillisecond;  // update aggregation window
 };
 
 ScrapeOptions MakeVncOptions(bool aggressive);

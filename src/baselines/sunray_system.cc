@@ -1,7 +1,6 @@
 #include "src/baselines/sunray_system.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "src/codec/lzss.h"
 #include "src/codec/rle32.h"
@@ -183,8 +182,7 @@ void SunRaySystem::HandleClientFrame(uint8_t type, std::span<const uint8_t> payl
             raw.size() != static_cast<size_t>(rect.area()) * sizeof(Pixel)) {
           break;
         }
-        pixels.resize(static_cast<size_t>(rect.area()));
-        std::memcpy(pixels.data(), raw.data(), raw.size());
+        pixels = PixelsFromBytes(raw);
       } else {
         if (!Rle32Decode(encoded, &pixels) ||
             pixels.size() != static_cast<size_t>(rect.area())) {

@@ -1,6 +1,7 @@
 #include "src/baselines/wire_baseline.h"
 
 #include <algorithm>
+#include <cstring>
 
 namespace thinc {
 
@@ -103,6 +104,14 @@ void WireBaseline::ProbeVideo(const Region& updated, std::optional<Rect> clip) {
   if (!probe.empty() && updated.Intersect(probe).Area() * 10 >= probe.area() * 3) {
     NoteVideoFrame();
   }
+}
+
+std::vector<Pixel> WireBaseline::PixelsFromBytes(std::span<const uint8_t> bytes) {
+  std::vector<Pixel> pixels(bytes.size() / sizeof(Pixel));
+  if (!pixels.empty()) {  // an empty vector's data() may be null
+    std::memcpy(pixels.data(), bytes.data(), pixels.size() * sizeof(Pixel));
+  }
+  return pixels;
 }
 
 Rect WireBaseline::ScaleToViewport(const Rect& rect, const Rect& viewport) const {

@@ -96,6 +96,9 @@ class WireBaseline : public RemoteDisplaySystem {
   // as a displayed video frame.
   void ProbeVideo(const Region& updated, std::optional<Rect> clip = std::nullopt);
 
+  // Wire bytes (a whole number of pixels) as pixels. An empty rect's bytes
+  // give no pixels and copy nothing.
+  static std::vector<Pixel> PixelsFromBytes(std::span<const uint8_t> bytes);
   // Maps a screen rect onto a `viewport`-sized client by edge scaling.
   Rect ScaleToViewport(const Rect& rect, const Rect& viewport) const;
   // Client-side resize: nearest-neighbour resamples full-size `pixels` at

@@ -1,13 +1,14 @@
 #include "src/baselines/x_system.h"
 
-#include <cstring>
-
 #include "src/codec/lzss.h"
 #include "src/codec/pnglike.h"
 #include "src/util/logging.h"
 
 namespace thinc {
 namespace {
+
+// Outbound backlog beyond which the video player drops frames.
+constexpr size_t kVideoDropThreshold = 4 << 20;
 
 // Quantization used by the NX image profiles: RGB565 for the default
 // (mildly lossy) profile, RGB444 for the aggressive WAN profile.
@@ -265,7 +266,7 @@ void XSystem::VideoFrame(int32_t stream_id, const Yv12Frame& frame) {
   FlushPendingImage();
   auto it = streams_.find(stream_id);
   THINC_CHECK(it != streams_.end());
-  if (out_->queued_bytes() > options_.video_drop_threshold ||
+  if (out_->queued_bytes() > kVideoDropThreshold ||
       server_cpu_.earliest_free() > loop_->now() + 100 * kMillisecond) {
     // Connection backed up or the compressor can't keep up: the player
     // skips this frame. "Can't keep up" asks whether ANY core can take the
@@ -371,9 +372,7 @@ void XSystem::HandleClientFrame(uint8_t type, std::span<const uint8_t> payload) 
         std::vector<uint8_t> bytes;
         if (r.Bytes(static_cast<size_t>(tw) * th * sizeof(Pixel), &bytes)) {
           Surface tile(tw, th);
-          std::vector<Pixel> px(static_cast<size_t>(tw) * th);
-          std::memcpy(px.data(), bytes.data(), bytes.size());
-          tile.PutPixels(Rect{0, 0, tw, th}, px);
+          tile.PutPixels(Rect{0, 0, tw, th}, PixelsFromBytes(bytes));
           client_ws_->FillTiled(dst, rect, tile, origin);
         }
       }
@@ -421,8 +420,7 @@ void XSystem::HandleClientFrame(uint8_t type, std::span<const uint8_t> payload) 
         if (!r.Bytes(static_cast<size_t>(image_rect.area()) * sizeof(Pixel), &bytes)) {
           break;
         }
-        image_pixels.resize(static_cast<size_t>(image_rect.area()));
-        std::memcpy(image_pixels.data(), bytes.data(), bytes.size());
+        image_pixels = PixelsFromBytes(bytes);
       }
       if (msg == XMsg::kComposite) {
         client_ws_->CompositeOver(dst, image_rect, image_pixels);

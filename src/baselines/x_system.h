@@ -36,8 +36,6 @@ struct XSystemOptions {
   // NX image quantization before encoding: 0 = lossless, 1 = RGB565 (the
   // default profile's mild loss), 2 = RGB444 (the aggressive WAN profile).
   int lossy_level = 0;
-  // Outbound backlog beyond which the video player drops frames.
-  size_t video_drop_threshold = 4 << 20;
   // Cores on the server host (virtual timing only; wire bytes unchanged).
   int server_cpu_cores = 1;
 };

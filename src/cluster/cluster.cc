@@ -11,6 +11,13 @@
 namespace thinc {
 namespace {
 
+// Cap on concurrent handoffs.
+constexpr int kMaxInflightMigrations = 1;
+// A destination must be this cold — its own worst lag at or below
+// host.overload_lag * kDestColdFraction — to receive a session (migrating
+// onto a warming host just moves the hotspot).
+constexpr double kDestColdFraction = 0.5;
+
 // FNV-1a over raw pixel words — the client-side content hash migration
 // checks compare (same function family the transports use for delivered
 // bytes, applied to the framebuffer instead of the stream).
@@ -34,7 +41,6 @@ ClusterController::ClusterController(EventLoop* loop, ClusterOptions options)
     : loop_(loop), options_(options) {
   THINC_CHECK(options_.hosts >= 1);
   THINC_CHECK(options_.interconnect_bps > 0);
-  THINC_CHECK(options_.max_inflight_migrations >= 1);
   hosts_.reserve(options_.hosts);
   hot_ticks_.assign(options_.hosts, 0);
   for (int h = 0; h < options_.hosts; ++h) {
@@ -278,8 +284,7 @@ void ClusterController::Tick(SimTime until) {
   ticks->Inc();
   hot_g->Set(hot_hosts);
   inflight_g->Set(inflight_);
-  if (options_.migration_enabled &&
-      inflight_ < options_.max_inflight_migrations) {
+  if (options_.migration_enabled && inflight_ < kMaxInflightMigrations) {
     TryMigrate(sigs);
   }
   if (now + options_.control_interval <= until) {
@@ -293,8 +298,7 @@ void ClusterController::TryMigrate(
     const std::vector<FleetHost::OverloadSignals>& sigs) {
   const SimTime now = loop_->now();
   const SimTime cold_bar = static_cast<SimTime>(
-      static_cast<double>(options_.host.overload_lag) *
-      options_.dest_cold_fraction);
+      static_cast<double>(options_.host.overload_lag) * kDestColdFraction);
   for (size_t h = 0; h < hosts_.size(); ++h) {
     if (hot_ticks_[h] < options_.ticks_to_migrate) {
       continue;

@@ -62,17 +62,11 @@ struct ClusterOptions {
   int64_t interconnect_bps = 1'000'000'000;
   SimTime interconnect_rtt = 1 * kMillisecond;
   // Migration controller: sampling period, sustained-overload samples
-  // before a move, per-session cooldown between moves, and the cap on
-  // concurrent handoffs.
+  // before a move, and per-session cooldown between moves.
   bool migration_enabled = true;
   SimTime control_interval = 100 * kMillisecond;
   int ticks_to_migrate = 3;
   SimTime session_cooldown = 2 * kSecond;
-  int max_inflight_migrations = 1;
-  // A destination must be this cold — its own worst lag at or below
-  // host.overload_lag * dest_cold_fraction — to receive a session
-  // (migrating onto a warming host just moves the hotspot).
-  double dest_cold_fraction = 0.5;
 };
 
 // One completed (or in-flight: resume == 0) migration.

@@ -26,14 +26,14 @@ bool UpdateScheduler::IsRealtime(const Command& cmd, SimTime now) const {
   if (cmd.overlap() == OverlapClass::kTransparent) {
     return false;
   }
-  if (last_input_time_ < 0 || now - last_input_time_ > options_.rt_window) {
+  if (last_input_time_ < 0 || now - last_input_time_ > kRealtimeWindow) {
     return false;
   }
-  if (cmd.EncodedSize() > options_.rt_max_bytes) {
+  if (cmd.EncodedSize() > kRealtimeMaxBytes) {
     return false;
   }
-  Rect halo{last_input_.x - options_.rt_halo, last_input_.y - options_.rt_halo,
-            options_.rt_halo * 2, options_.rt_halo * 2};
+  Rect halo{last_input_.x - kRealtimeHalo, last_input_.y - kRealtimeHalo,
+            kRealtimeHalo * 2, kRealtimeHalo * 2};
   return cmd.region().Intersects(halo);
 }
 

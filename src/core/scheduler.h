@@ -33,13 +33,6 @@ struct SchedulerOptions {
   // Ablation knob (bench_ablation_scheduler): single FIFO queue instead of
   // SRSF bands.
   bool fifo = false;
-  // Real-time region half-size around the last input event, and how long an
-  // input event keeps its region "hot".
-  int32_t rt_halo = 48;
-  SimTime rt_window = 500 * kMillisecond;
-  // Commands larger than this never enter the real-time queue ("small to
-  // medium-sized", Section 5).
-  size_t rt_max_bytes = 16 << 10;
   // SRSF starvation limit (0 = off): a buffered command whose age exceeds
   // this is flushed ahead of lower bands, bounding the tail latency SRSF
   // would otherwise impose on large updates under sustained small-update
@@ -56,6 +49,13 @@ class UpdateScheduler {
   // Band i holds sizes in [kBandBase << (i-1), kBandBase << i); band 0 holds
   // anything smaller, the last band anything larger.
   static constexpr size_t kBandBase = 128;
+  // Real-time region half-size around the last input event, and how long an
+  // input event keeps its region "hot".
+  static constexpr int32_t kRealtimeHalo = 48;
+  static constexpr SimTime kRealtimeWindow = 500 * kMillisecond;
+  // Commands larger than this never enter the real-time queue ("small to
+  // medium-sized", Section 5).
+  static constexpr size_t kRealtimeMaxBytes = 16 << 10;
 
   explicit UpdateScheduler(SchedulerOptions options = {});
 

@@ -2,10 +2,8 @@
 // commands into (emulated) hardware operations on its local framebuffer.
 //
 // Mirrors the paper's client design: it holds only transient soft state (the
-// framebuffer), accelerates COPY/fills/video-overlay in "hardware", forwards
-// input to the server, and can run headless — the instrumented mode used for
-// the PlanetLab experiments, which processes all display and audio data
-// without driving real output hardware.
+// framebuffer), accelerates COPY/fills/video-overlay in "hardware", and
+// forwards input to the server.
 #ifndef THINC_SRC_CORE_THINC_CLIENT_H_
 #define THINC_SRC_CORE_THINC_CLIENT_H_
 
@@ -29,7 +27,6 @@ namespace thinc {
 
 struct ThincClientOptions {
   bool encrypt = true;    // must match the server
-  bool headless = false;  // instrumented client: process but don't render
   // Client-pull mode (ablation): the client must request updates.
   bool client_pull = false;
   // Chrome-trace host name registered for this client's pid. Device

@@ -15,6 +15,9 @@ constexpr uint64_t kPrngZeroRemap = 0x9E3779B97F4A7C15ULL;
 
 uint64_t EffectiveSeed(uint64_t seed) { return seed ? seed : kPrngZeroRemap; }
 
+// Calm controller ticks before a degraded session steps one level back up.
+constexpr int kTicksToRestore = 10;
+
 }  // namespace
 
 FleetHost::FleetHost(EventLoop* loop, FleetOptions options)
@@ -374,7 +377,7 @@ void FleetHost::ControllerTick(SimTime until) {
         s->under_ticks = 0;
       } else {
         s->over_ticks = 0;
-        if (++s->under_ticks >= options_.ticks_to_restore) {
+        if (++s->under_ticks >= kTicksToRestore) {
           s->under_ticks = 0;
           const int level = s->server->degradation_level();
           if (level > 0) {

@@ -92,11 +92,10 @@ struct FleetOptions {
   // link's bandwidth-delay product rather than the 256 KiB desktop default.
   size_t send_buffer_bytes = 256 << 10;
   // Overload controller: sampling period and per-session hysteresis (ticks
-  // of sustained pressure before degrading, calm ticks before restoring).
+  // of sustained pressure before degrading).
   bool degradation_enabled = true;
   SimTime control_interval = 100 * kMillisecond;
   int ticks_to_degrade = 2;
-  int ticks_to_restore = 10;
   // How far behind real time the shared CPU or NIC must run before the host
   // counts as overloaded. A transient page burst parks a bounded backlog
   // that drains within a burst time; genuine oversubscription grows the lag

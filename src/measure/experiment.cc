@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <functional>
 
 #include "src/baselines/local_pc.h"
 #include "src/baselines/rdp_system.h"
@@ -173,9 +174,12 @@ namespace {
 
 // Drives the 54-page click-render-measure cycle against an assembled
 // system (the body shared by RunWebBenchmark and the THINC variants).
+// `on_page`, if set, runs after each page has drained the loop and been
+// measured.
 WebRunResult RunWebOn(EventLoop* loop_ptr, RemoteDisplaySystem* sys_raw,
                       const std::string& system_name,
-                      const ExperimentConfig& config, int32_t page_count) {
+                      const ExperimentConfig& config, int32_t page_count,
+                      const std::function<void()>& on_page = {}) {
   EventLoop& loop = *loop_ptr;
   RemoteDisplaySystem* sys = sys_raw;
   WebWorkload workload(config.screen_width, config.screen_height);
@@ -208,6 +212,9 @@ WebRunResult RunWebOn(EventLoop* loop_ptr, RemoteDisplaySystem* sys_raw,
     page.latency_with_client_ms = static_cast<double>(all_done - t0) / kMillisecond;
     page.bytes = sys->BytesToClient() - b0;
     result.pages.push_back(page);
+    if (on_page) {
+      on_page();
+    }
   }
   return result;
 }
@@ -254,8 +261,6 @@ WebBreakdownResult RunThincWebBreakdown(const ExperimentConfig& config,
   telemetry.Configure(tcfg);
   telemetry.ResetRuntime();
 
-  // Mirrors RunWebOn, with per-page span watermarks: every span created
-  // between a page's click and its quiescence belongs to that page.
   EventLoop loop;
   ThincSystem sys(&loop, config.link, config.screen_width, config.screen_height,
                   options, ThincClientOptions{}, /*server_cpu_cores=*/1,
@@ -264,35 +269,12 @@ WebBreakdownResult RunThincWebBreakdown(const ExperimentConfig& config,
     sys.SetViewport(config.viewport->x, config.viewport->y);
     loop.Run();
   }
-  WebWorkload workload(config.screen_width, config.screen_height);
-  int32_t current_page = 0;
-  sys.SetInputCallback([&sys, &workload, &current_page](Point) {
-    sys.FetchContent(workload.page(current_page).content_bytes);
-    workload.RenderPage(sys.api(), current_page, sys.app_cpu());
-  });
 
+  // Per-page span watermarks: every page drains the loop, so every span
+  // created since the previous page's end belongs to this page.
   WebBreakdownResult result;
-  result.web.system = "THINC*";
-  result.web.config = config.name;
-  page_count = std::min<int32_t>(page_count, workload.page_count());
-  for (int32_t i = 0; i < page_count; ++i) {
-    loop.RunUntil(loop.now() + 300 * kMillisecond);
-    current_page = i;
-    const size_t span_mark = telemetry.spans().size();
-    const SimTime t0 = loop.now();
-    const int64_t b0 = sys.BytesToClient();
-    sys.ClientClick(workload.LinkPosition(i));
-    loop.Run();
-
-    PageResult page;
-    const SimTime net_done = std::max(t0, sys.LastDeliveryToClient());
-    const SimTime all_done = std::max(net_done, sys.ClientLastProcessedAt());
-    page.latency_ms = static_cast<double>(net_done - t0) / kMillisecond;
-    page.latency_with_client_ms =
-        static_cast<double>(all_done - t0) / kMillisecond;
-    page.bytes = sys.BytesToClient() - b0;
-    result.web.pages.push_back(page);
-
+  size_t span_mark = telemetry.spans().size();
+  result.web = RunWebOn(&loop, &sys, "THINC*", config, page_count, [&] {
     StageBreakdown sb;
     const std::vector<UpdateSpan>& spans = telemetry.spans();
     for (size_t s = span_mark; s < spans.size(); ++s) {
@@ -324,7 +306,8 @@ WebBreakdownResult RunThincWebBreakdown(const ExperimentConfig& config,
       sb.total_ms /= n;
     }
     result.pages.push_back(sb);
-  }
+    span_mark = spans.size();
+  });
 
   if (!trace_json_path.empty()) {
     result.trace_written = telemetry.WriteChromeTrace(trace_json_path);

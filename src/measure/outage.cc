@@ -11,6 +11,14 @@
 namespace thinc {
 namespace {
 
+// Web pages browsed normally before the fault.
+constexpr int32_t kPagesBefore = 3;
+// Pages the application keeps rendering while the client is disconnected
+// (this is what grows — and caps — the server's update backlog).
+constexpr int32_t kPagesDuring = 8;
+// Idle gap between pages, matching the web benchmark cadence.
+constexpr SimTime kPageGap = 300 * kMillisecond;
+
 // Pixel-exact fidelity check; with an active viewport the client holds a
 // Fant-resampled view, so the reference is resampled the same way the
 // server's resize path does it.
@@ -36,8 +44,7 @@ int64_t CountMismatches(const Surface& client_fb, const Surface& screen) {
 
 }  // namespace
 
-OutageScenarioResult RunOutageScenario(const ExperimentConfig& config,
-                                       const OutageScenarioOptions& options) {
+OutageScenarioResult RunOutageScenario(const ExperimentConfig& config) {
   // Robustness scenarios run with the flight recorder armed: the injected
   // reset auto-dumps the span timeline leading up to the fault (and a
   // THINC_CHECK failure anywhere in the scenario would dump it too).
@@ -72,37 +79,34 @@ OutageScenarioResult RunOutageScenario(const ExperimentConfig& config,
 
   // --- Phase 1: steady browsing -------------------------------------------
   const int32_t pages_before =
-      std::min<int32_t>(options.pages_before, workload.page_count());
+      std::min<int32_t>(kPagesBefore, workload.page_count());
   for (int32_t i = 0; i < pages_before; ++i) {
-    loop.RunUntil(loop.now() + options.page_gap);
+    loop.RunUntil(loop.now() + kPageGap);
     current_page = i;
     sys.ClientClick(workload.LinkPosition(i));
     loop.Run();
   }
 
   // --- Phase 2: mid-frame reset + disconnected drawing ---------------------
-  loop.RunUntil(loop.now() + options.page_gap);
+  loop.RunUntil(loop.now() + kPageGap);
   const SimTime t_fault_click = loop.now();
   result.steady_ms = static_cast<double>(t_fault_click) / kMillisecond;
   result.steady_bytes = conn->BytesDeliveredTo(Transport::kClient);
 
   current_page = pages_before % workload.page_count();
   sys.ClientClick(workload.LinkPosition(current_page));
-  if (options.fault_delay < 0) {
-    // Adaptive mid-frame cut: advance virtual time until a few KB of the
-    // doomed page have reached the client (bounded in case a page sends
-    // nothing), so the reset always lands mid-transfer with the bulk of the
-    // page still in flight.
-    const SimTime probe_deadline = t_fault_click + 2 * kSecond;
-    const int64_t partial_target = result.steady_bytes + (8 << 10);
-    while (loop.now() < probe_deadline &&
-           conn->BytesDeliveredTo(Transport::kClient) < partial_target) {
-      loop.RunUntil(loop.now() + kMillisecond);
-    }
+  // Mid-frame cut: advance virtual time until a few KB of the doomed page
+  // have reached the client (bounded in case a page sends nothing), so the
+  // reset always lands mid-transfer with the bulk of the page still in
+  // flight, on every link.
+  const SimTime probe_deadline = t_fault_click + 2 * kSecond;
+  const int64_t partial_target = result.steady_bytes + (8 << 10);
+  while (loop.now() < probe_deadline &&
+         conn->BytesDeliveredTo(Transport::kClient) < partial_target) {
+    loop.RunUntil(loop.now() + kMillisecond);
   }
   FaultPlan plan;
-  plan.Reset(options.fault_delay >= 0 ? t_fault_click + options.fault_delay
-                                      : loop.now());
+  plan.Reset(loop.now());
   conn->ScheduleFaults(plan);
   loop.Run();  // the page dies mid-transfer; server parks, client freezes
   THINC_CHECK(conn->closed());
@@ -110,12 +114,12 @@ OutageScenarioResult RunOutageScenario(const ExperimentConfig& config,
 
   // The application keeps working: render pages nobody is watching and
   // watch the update backlog stay capped by snapshot coalescing.
-  for (int32_t i = 0; i < options.pages_during; ++i) {
+  for (int32_t i = 0; i < kPagesDuring; ++i) {
     const int32_t page = (pages_before + 1 + i) % workload.page_count();
     workload.RenderPage(sys.api(), page, sys.app_cpu());
     result.peak_buffered_bytes =
         std::max(result.peak_buffered_bytes, sys.server()->buffered_bytes());
-    loop.RunUntil(loop.now() + options.page_gap);
+    loop.RunUntil(loop.now() + kPageGap);
   }
 
   // --- Phase 3: reconnect + resync ------------------------------------------

@@ -18,20 +18,6 @@
 
 namespace thinc {
 
-struct OutageScenarioOptions {
-  // Web pages browsed normally before the fault.
-  int32_t pages_before = 3;
-  // Pages the application keeps rendering while the client is disconnected
-  // (this is what grows — and caps — the server's update backlog).
-  int32_t pages_during = 8;
-  // Idle gap between pages, matching the web benchmark cadence.
-  SimTime page_gap = 300 * kMillisecond;
-  // Delay from the doomed page's click to the connection reset. < 0 (the
-  // default) cuts adaptively: the reset fires right after the page's first
-  // bytes reach the client, guaranteeing a mid-frame cut on every link.
-  SimTime fault_delay = -1;
-};
-
 struct OutageScenarioResult {
   std::string config;
 
@@ -63,8 +49,9 @@ struct OutageScenarioResult {
   bool resynced = false;
 };
 
-OutageScenarioResult RunOutageScenario(const ExperimentConfig& config,
-                                       const OutageScenarioOptions& options = {});
+// Browses 3 pages, resets the connection mid-transfer on the 4th, renders
+// 8 more pages while the client is gone, then reconnects.
+OutageScenarioResult RunOutageScenario(const ExperimentConfig& config);
 
 }  // namespace thinc
 

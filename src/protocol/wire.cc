@@ -68,12 +68,7 @@ ByteBuffer WireWriter::Finish() {
   if (slab_ != nullptr) {
     slab_->Track();
     size_t size = slab_->bytes.size();
-    ByteBuffer out(std::move(slab_), 0, size);
-    if (!ZeroCopyMode()) {
-      // Legacy emulation: frames were copied out of the writer.
-      return ByteBuffer::Copy(out.view());
-    }
-    return out;
+    return ByteBuffer(std::move(slab_), 0, size);
   }
   return ByteBuffer::Adopt(std::move(own_));
 }

@@ -6,8 +6,6 @@
 namespace thinc {
 namespace {
 
-bool g_zero_copy = true;
-
 uint64_t NextContentId() {
   static uint64_t next = 0;
   return ++next;
@@ -30,9 +28,6 @@ void BufferStats::Reset() {
   live_payload_bytes = live;
   peak_payload_bytes = live;
 }
-
-void SetZeroCopyMode(bool enabled) { g_zero_copy = enabled; }
-bool ZeroCopyMode() { return g_zero_copy; }
 
 namespace internal {
 
@@ -90,17 +85,11 @@ ByteBuffer ByteBuffer::Adopt(std::vector<uint8_t>&& bytes) {
 ByteBuffer ByteBuffer::Slice(size_t offset, size_t length) const {
   offset = std::min(offset, size_);
   length = std::min(length, size_ - offset);
-  if (!ZeroCopyMode()) {
-    return Copy(view().subspan(offset, length));
-  }
   ++BufferStats::Get().shares;
   return ByteBuffer(storage_, offset_ + offset, length);
 }
 
 ByteBuffer ByteBuffer::Share() const {
-  if (!ZeroCopyMode()) {
-    return Copy(view());
-  }
   ++BufferStats::Get().shares;
   return *this;
 }
@@ -116,9 +105,6 @@ PixelBuffer PixelBuffer::Copy(std::span<const Pixel> pixels) {
 PixelBuffer PixelBuffer::Share() const {
   if (!storage_) {
     return PixelBuffer();
-  }
-  if (!ZeroCopyMode()) {
-    return Copy(view());
   }
   ++BufferStats::Get().shares;
   return *this;
@@ -166,8 +152,8 @@ std::shared_ptr<const CachedEncode> PixelBuffer::LookupEncode(
 
 void PixelBuffer::StoreEncode(const std::string& key, ByteBuffer frame,
                               double cpu_cost) const {
-  if (!storage_ || !ZeroCopyMode()) {
-    return;  // legacy mode: every command re-encodes, as before the refactor
+  if (!storage_) {
+    return;
   }
   auto& encodes = storage_->encodes;
   if (encodes.size() >= kMaxEncodesPerPayload) {
@@ -180,13 +166,11 @@ void PixelBuffer::StoreEncode(const std::string& key, ByteBuffer frame,
 }
 
 std::shared_ptr<internal::ByteStorage> FrameArena::Acquire() {
-  if (ZeroCopyMode()) {
-    for (auto& slab : slabs_) {
-      if (slab.use_count() == 1) {
-        slab->bytes.clear();
-        ++BufferStats::Get().arena_reuses;
-        return slab;
-      }
+  for (auto& slab : slabs_) {
+    if (slab.use_count() == 1) {
+      slab->bytes.clear();
+      ++BufferStats::Get().arena_reuses;
+      return slab;
     }
   }
   auto slab = std::make_shared<internal::ByteStorage>();
@@ -202,10 +186,6 @@ std::shared_ptr<internal::ByteStorage> FrameArena::Acquire() {
 
 void SegmentQueue::Append(ByteBuffer data) {
   if (data.empty()) {
-    return;
-  }
-  if (!ZeroCopyMode()) {
-    AppendCopy(data.view());
     return;
   }
   total_ += data.size();

@@ -26,9 +26,7 @@
 //
 // Everything here is single-threaded, like the simulation. All operations
 // are instrumented through BufferStats so benchmarks can report bytes
-// memcpy'd, allocation counts, and peak resident payload bytes; the global
-// zero-copy mode can be disabled to emulate the old eager-copy behaviour
-// for A/B measurement (copying never changes wire bytes or virtual time).
+// memcpy'd, allocation counts, and peak resident payload bytes.
 #ifndef THINC_SRC_UTIL_BUFFER_H_
 #define THINC_SRC_UTIL_BUFFER_H_
 
@@ -77,12 +75,6 @@ struct BufferStats {
     }
   }
 };
-
-// Global mode knob (bench ablation only): when disabled, Share() operations
-// degrade to eager deep copies and segment pops always gather — the
-// pre-zero-copy behaviour. Never affects wire bytes or virtual time.
-void SetZeroCopyMode(bool enabled);
-bool ZeroCopyMode();
 
 class ByteBuffer;
 
@@ -152,10 +144,10 @@ class ByteBuffer {
   std::span<const uint8_t> view() const { return {data(), size_}; }
   operator std::span<const uint8_t>() const { return view(); }
 
-  // Sub-view sharing the backing store (deep copy in legacy mode).
+  // Sub-view sharing the backing store.
   ByteBuffer Slice(size_t offset, size_t length) const;
-  // Another handle to the same bytes (deep copy in legacy mode). This is
-  // what makes "encode once, send to N viewers" free.
+  // Another handle to the same bytes. This is what makes "encode once, send
+  // to N viewers" free.
   ByteBuffer Share() const;
 
  private:
@@ -187,8 +179,8 @@ class PixelBuffer {
   const Pixel* data() const { return storage_ ? storage_->pixels.data() : nullptr; }
   std::span<const Pixel> view() const { return {data(), size()}; }
 
-  // Cheap ref-count share (deep copy in legacy mode). The offscreen
-  // queue-copy path clones through this.
+  // Cheap ref-count share. The offscreen queue-copy path clones through
+  // this.
   PixelBuffer Share() const;
 
   // Mutable access: detaches from co-owners first (copy-on-write) and
@@ -229,7 +221,7 @@ class FrameArena {
 // request; only a pop spanning segments gathers.
 class SegmentQueue {
  public:
-  // Enqueues a view (zero-copy; deep copy in legacy mode).
+  // Enqueues a view (zero-copy).
   void Append(ByteBuffer data);
   // Enqueues a copy of `data` (for callers that only have a transient span).
   void AppendCopy(std::span<const uint8_t> data);

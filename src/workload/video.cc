@@ -3,6 +3,12 @@
 #include "src/util/logging.h"
 
 namespace thinc {
+namespace {
+
+// MPEG-1 decode cost per frame at reference speed (the player's work).
+constexpr double kDecodeCostUs = 1500;
+
+}  // namespace
 
 VideoSource::VideoSource(EventLoop* loop, DrawingApi* api, CpuAccount* app_cpu,
                          VideoSourceOptions options)
@@ -29,7 +35,7 @@ void VideoSource::EmitFrame() {
   }
   // The player decodes the frame on its host CPU.
   if (app_cpu_ != nullptr) {
-    app_cpu_->Charge(options_.decode_cost_us);
+    app_cpu_->Charge(kDecodeCostUs);
   }
   Yv12Frame frame = FrameContent(frames_emitted_, options_.width, options_.height);
   api_->VideoFrame(stream_id_, frame);

@@ -26,8 +26,6 @@ struct VideoSourceOptions {
   double fps = 24.0;
   SimTime duration = static_cast<SimTime>(34.75 * kSecond);
   Rect dst;  // on-screen placement (full screen in the benchmark)
-  // MPEG-1 decode cost per frame at reference speed (the player's work).
-  double decode_cost_us = 1500;
 };
 
 class VideoSource {

@@ -89,7 +89,7 @@ TEST(AdaptSelectorTest, DisabledOrSmallUpdatesStayIntra) {
   CodecSelector off{AdaptOptions{}, &est};
   EXPECT_EQ(off.Choose(100'000, 0), CodecChoice::kIntra);
   CodecSelector on{EnabledOptions(), &est};
-  EXPECT_EQ(on.Choose(1024, 0), CodecChoice::kIntra);  // below min_delta_pixels
+  EXPECT_EQ(on.Choose(1024, 0), CodecChoice::kIntra);  // below the delta floor
 }
 
 TEST(AdaptSelectorTest, UnknownEstimateStaysIntra) {

@@ -415,6 +415,7 @@ class RdpWireInjector : public RdpSystem {
   using RdpSystem::RdpSystem;
 
   // Order type codes of the RDP wire.
+  static constexpr uint8_t kTile = 2;
   static constexpr uint8_t kImage = 4;
   static constexpr uint8_t kImageCached = 5;
 
@@ -436,6 +437,15 @@ class RdpWireInjector : public RdpSystem {
     w.RectVal(rect);
     w.I64(hash);
     Send(kImageCached, w.Take());
+  }
+
+  void SendTile(const Region& region, uint16_t tw, uint16_t th) {
+    WireWriter w;
+    w.RegionVal(region);
+    w.PointVal(Point{0, 0});
+    w.U16(tw);
+    w.U16(th);
+    Send(kTile, w.Take());
   }
 
  private:
@@ -480,6 +490,108 @@ TEST(RdpSystemTest, IcaResampleOfEmptyImageDrawsNothing) {
   sys.SendImage(Rect{1, 0, 0, 5}, 78, {});
   loop.Run();
   EXPECT_EQ(sys.ClientFramebuffer()->At(0, 0), kBlack);
+}
+
+TEST(RdpSystemTest, EmptyTileFillsNothing) {
+  // A 0x5 tile carries no pixel bytes; the client builds an empty tile and
+  // the fill draws nothing.
+  EventLoop loop;
+  RdpWireInjector sys(&loop, LanDesktopLink(), 128, 128, MakeRdpOptions(false));
+  sys.SendTile(Region(Rect{0, 0, 64, 64}), 0, 5);
+  loop.Run();
+  EXPECT_GT(sys.ClientLastProcessedAt(), 0);
+  EXPECT_EQ(sys.ClientFramebuffer()->At(0, 0), kBlack);
+}
+
+// A SunRaySystem whose server end can put crafted frames on the wire.
+class SunRayWireInjector : public SunRaySystem {
+ public:
+  using SunRaySystem::SunRaySystem;
+
+  // Frame type code of the Sun Ray wire.
+  static constexpr uint8_t kRaw = 3;
+
+  // kRaw with the LZSS pixel mode.
+  void SendLzssRaw(const Rect& rect, std::span<const Pixel> pixels) {
+    std::span<const uint8_t> raw(reinterpret_cast<const uint8_t*>(pixels.data()),
+                                 pixels.size() * sizeof(Pixel));
+    std::vector<uint8_t> encoded = LzssEncode(raw);
+    WireWriter w;
+    w.RectVal(rect);
+    w.U8(1);
+    w.U32(static_cast<uint32_t>(raw.size()));
+    w.U32(static_cast<uint32_t>(encoded.size()));
+    w.Bytes(encoded);
+    conn_->Send(Transport::kServer,
+                BuildFrame(static_cast<MsgType>(kRaw), w.Take()));
+  }
+};
+
+TEST(SunRaySystemTest, LzssRawOfEmptyRectDrawsNothing) {
+  EventLoop loop;
+  SunRayWireInjector sys(&loop, LanDesktopLink(), 128, 128);
+  sys.SendLzssRaw(Rect{4, 4, 0, 6}, {});
+  loop.Run();
+  EXPECT_GT(sys.ClientLastProcessedAt(), 0);
+  EXPECT_EQ(sys.ClientFramebuffer()->At(4, 4), kBlack);
+}
+
+// An XSystem whose proxy end can put crafted requests on the wire, in the
+// LZSS stream framing every non-NX request uses.
+class XWireInjector : public XSystem {
+ public:
+  using XSystem::XSystem;
+
+  // Request codes of the X wire.
+  static constexpr uint8_t kFillTiled = 4;
+  static constexpr uint8_t kPutImage = 7;
+
+  void SendFillTiled(const Rect& rect, uint16_t tw, uint16_t th) {
+    WireWriter w;
+    w.U32(static_cast<uint32_t>(kScreenDrawable));
+    w.RectVal(rect);
+    w.PointVal(Point{0, 0});
+    w.U16(tw);
+    w.U16(th);
+    Send(kFillTiled, w.Take());
+  }
+
+  // A PutImage whose rect is `rect` and whose pixel bytes are absent, as
+  // for a zero-area rect.
+  void SendEmptyPutImage(const Rect& rect) {
+    WireWriter w;
+    w.U32(static_cast<uint32_t>(kScreenDrawable));
+    w.RectVal(rect);
+    Send(kPutImage, w.Take());
+  }
+
+ private:
+  void Send(uint8_t type, const std::vector<uint8_t>& body) {
+    WireWriter out;
+    out.U8(1);  // LZSS body codec
+    out.U32(static_cast<uint32_t>(body.size()));
+    out.Bytes(LzssEncode(body));
+    conn_->Send(Transport::kServer,
+                BuildFrame(static_cast<MsgType>(type), out.Take()));
+  }
+};
+
+TEST(XSystemTest, EmptyTileFillsNothing) {
+  EventLoop loop;
+  XWireInjector sys(&loop, LanDesktopLink(), 128, 128, MakeXOptions());
+  sys.SendFillTiled(Rect{0, 0, 64, 64}, 5, 0);
+  loop.Run();
+  EXPECT_GT(sys.ClientLastProcessedAt(), 0);
+  EXPECT_EQ(sys.ClientFramebuffer()->At(0, 0), kBlack);
+}
+
+TEST(XSystemTest, PutImageOfEmptyRectDrawsNothing) {
+  EventLoop loop;
+  XWireInjector sys(&loop, LanDesktopLink(), 128, 128, MakeXOptions());
+  sys.SendEmptyPutImage(Rect{2, 2, 7, 0});
+  loop.Run();
+  EXPECT_GT(sys.ClientLastProcessedAt(), 0);
+  EXPECT_EQ(sys.ClientFramebuffer()->At(2, 2), kBlack);
 }
 
 TEST(LocalPcTest, RendersLocallyWithoutDisplayTraffic) {

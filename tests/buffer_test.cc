@@ -14,14 +14,10 @@ std::vector<uint8_t> Iota(size_t n) {
   return v;
 }
 
-// Restores zero-copy mode and clears counters around each test.
+// Clears counters before each test.
 class BufferTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    SetZeroCopyMode(true);
-    BufferStats::Get().Reset();
-  }
-  void TearDown() override { SetZeroCopyMode(true); }
+  void SetUp() override { BufferStats::Get().Reset(); }
 };
 
 // --- ByteBuffer -----------------------------------------------------------------
@@ -59,17 +55,6 @@ TEST_F(BufferTest, ShareOutlivesOriginalHandle) {
   }
   EXPECT_EQ(s.size(), 32u);
   EXPECT_EQ(s[31], 31);
-}
-
-TEST_F(BufferTest, LegacyModeSliceDeepCopies) {
-  ByteBuffer b = ByteBuffer::Adopt(Iota(64));
-  SetZeroCopyMode(false);
-  BufferStats::Get().Reset();
-  ByteBuffer s = b.Slice(0, 64);
-  EXPECT_NE(s.data(), b.data());
-  EXPECT_EQ(BufferStats::Get().copies, 1);
-  EXPECT_EQ(BufferStats::Get().copied_bytes, 64);
-  EXPECT_TRUE(std::equal(s.begin(), s.end(), b.begin()));
 }
 
 // --- PixelBuffer ----------------------------------------------------------------
@@ -129,15 +114,6 @@ TEST_F(BufferTest, AppendGrowsAndTracksLiveBytes) {
             live0 + static_cast<int64_t>(8 * sizeof(Pixel)));
 }
 
-TEST_F(BufferTest, LegacyModePixelShareDeepCopies) {
-  PixelBuffer a(std::vector<Pixel>(128, kWhite));
-  SetZeroCopyMode(false);
-  BufferStats::Get().Reset();
-  PixelBuffer b = a.Share();
-  EXPECT_NE(a.data(), b.data());
-  EXPECT_EQ(BufferStats::Get().copies, 1);
-}
-
 TEST_F(BufferTest, PayloadEncodeCacheRoundTrip) {
   PixelBuffer a(std::vector<Pixel>(16, kWhite));
   EXPECT_EQ(a.LookupEncode("k"), nullptr);
@@ -149,13 +125,6 @@ TEST_F(BufferTest, PayloadEncodeCacheRoundTrip) {
   // The cache lives on the payload: a share sees the same entries.
   PixelBuffer b = a.Share();
   EXPECT_NE(b.LookupEncode("k"), nullptr);
-}
-
-TEST_F(BufferTest, LegacyModeDisablesEncodeCache) {
-  SetZeroCopyMode(false);
-  PixelBuffer a(std::vector<Pixel>(16, kWhite));
-  a.StoreEncode("k", ByteBuffer::Adopt(Iota(5)), 1.0);
-  EXPECT_EQ(a.LookupEncode("k"), nullptr);
 }
 
 // --- FrameArena -----------------------------------------------------------------
@@ -243,15 +212,6 @@ TEST_F(BufferTest, AppendCopyIsIndependentOfCaller) {
   scratch.assign(8, 0xFF);  // caller reuses its buffer
   ByteBuffer out = q.PopUpTo(8);
   EXPECT_EQ(out[3], 3);
-}
-
-TEST_F(BufferTest, LegacyModeAppendCopies) {
-  SetZeroCopyMode(false);
-  SegmentQueue q;
-  ByteBuffer b = ByteBuffer::Adopt(Iota(64));
-  BufferStats::Get().Reset();
-  q.Append(b.Share());
-  EXPECT_GE(BufferStats::Get().copies, 1);
 }
 
 TEST_F(BufferTest, ClearDropsEverything) {

@@ -83,7 +83,7 @@ std::vector<Pixel> WindowFrame(int32_t w, int32_t h, int round) {
 
 // --- WAN single session: selector engages, deltas save bytes -----------------
 
-constexpr int32_t kWinW = 96, kWinH = 64;  // 6144 px: above min_delta_pixels
+constexpr int32_t kWinW = 96, kWinH = 64;  // 6144 px: above the delta floor
 
 // Runs one desktop session over the WAN link: a static background, then
 // `rounds` repaints of a 96x64 window whose content barely changes. Returns

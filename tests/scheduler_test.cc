@@ -63,10 +63,9 @@ TEST(SchedulerTest, RealtimeQueuePreempts) {
 }
 
 TEST(SchedulerTest, RealtimeWindowExpires) {
-  SchedulerOptions options;
-  UpdateScheduler sched(options);
+  UpdateScheduler sched;
   sched.NoteInput(Point{500, 500}, 0);
-  SimTime late = options.rt_window + 1;
+  SimTime late = UpdateScheduler::kRealtimeWindow + 1;
   sched.Insert(Sfill(Rect{0, 0, 5, 5}), late);
   sched.Insert(Sfill(Rect{495, 495, 20, 20}), late);
   // Input stale: plain FIFO within the band.
