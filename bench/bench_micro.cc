@@ -61,6 +61,20 @@ void BM_Rc4(benchmark::State& state) {
 }
 BENCHMARK(BM_Rc4)->Arg(64 << 10);
 
+// In place, at the size of one delivered TCP segment (the Ethernet MSS):
+// the client deciphers each segment as it arrives, with in == out.
+void BM_Rc4InPlace(benchmark::State& state) {
+  std::vector<uint8_t> key(16, 0x5A);
+  Rc4Cipher cipher(key);
+  std::vector<uint8_t> buf(static_cast<size_t>(state.range(0)), 0x42);
+  for (auto _ : state) {
+    cipher.Process(buf, buf);
+    benchmark::DoNotOptimize(buf.data());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * buf.size());
+}
+BENCHMARK(BM_Rc4InPlace)->Arg(1460);
+
 void BM_LzssEncode(benchmark::State& state) {
   std::vector<Pixel> px = ScreenLikePixels(256, 256);
   std::span<const uint8_t> bytes(reinterpret_cast<const uint8_t*>(px.data()),
@@ -317,6 +331,19 @@ void BM_YuvFrameToRgbFullScreen(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_YuvFrameToRgbFullScreen);
+
+// What the client and the reference screen run per frame: the same scale
+// written into a persistent full-screen framebuffer.
+void BM_YuvScaleInto(benchmark::State& state) {
+  Yv12Frame frame = Yv12Frame::Allocate(352, 240);
+  Surface screen(1024, 768);
+  for (auto _ : state) {
+    Yv12ScaleInto(frame, &screen, screen.bounds());
+    benchmark::DoNotOptimize(screen.At(0, 0));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_YuvScaleInto);
 
 void BM_RegionUnionSweep(benchmark::State& state) {
   Prng rng(3);

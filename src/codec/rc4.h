@@ -24,7 +24,8 @@ class Rc4Cipher {
 
   // Encryption and decryption are the same keystream XOR. The cipher is
   // stateful: successive calls continue the keystream, matching its use on
-  // a long-lived connection.
+  // a long-lived connection. `in` and `out` must be the same buffer (in-place,
+  // as the server and client use it) or not overlap at all.
   void Process(std::span<const uint8_t> in, std::span<uint8_t> out);
   std::vector<uint8_t> Process(std::span<const uint8_t> in);
 

@@ -229,20 +229,18 @@ void ThincClient::HandleFrame(uint8_t type, std::span<const uint8_t> payload) {
       if (it == streams_.end()) {
         return;
       }
-      Yv12Frame probe = Yv12Frame::Allocate(w, h);
-      std::vector<uint8_t> planes;
-      if (!r.Bytes(probe.byte_size(), &planes)) {
+      // Size the planes before allocating anything: hostile dimensions
+      // cannot overflow or ask for more than the payload carries.
+      std::span<const uint8_t> planes;
+      if (!r.View(Yv12Frame::PackedSize(w, h), &planes)) {
         return;
       }
       // Overlay hardware: color conversion + scale to the display rect is
       // effectively free; charge only the data shuffle.
       ChargeAndStamp(0.001 * static_cast<double>(planes.size()));
-      Yv12Frame frame = Yv12Frame::Unpack(w, h, planes);
-      Rect dst = it->second.dst.Intersect(framebuffer_.bounds());
-      if (!dst.empty()) {
-        Surface rgb = Yv12ScaleToRgb(frame, dst.width, dst.height);
-        framebuffer_.PutPixels(dst, rgb.pixels());
-      }
+      // Scale to the whole stream rect, then clip to the framebuffer, as the
+      // server's reference screen does.
+      Yv12ScaleInto(Yv12Frame::Unpack(w, h, planes), &framebuffer_, it->second.dst);
       video_frames_.push_back(VideoFrameArrival{id, loop_->now(), server_ts});
       pull_outstanding_ = false;
       MaybeRearmPull();

@@ -177,8 +177,23 @@ bool WireReader::Bytes(size_t n, std::vector<uint8_t>* out) {
   return true;
 }
 
+bool WireReader::View(size_t n, std::span<const uint8_t>* out) {
+  if (n > remaining()) {
+    return false;
+  }
+  *out = data_.subspan(pos_, n);
+  pos_ += n;
+  return true;
+}
+
 bool WireReader::RectVal(Rect* r) {
-  return I32(&r->x) && I32(&r->y) && I32(&r->width) && I32(&r->height);
+  if (!I32(&r->x) || !I32(&r->y) || !I32(&r->width) || !I32(&r->height)) {
+    return false;
+  }
+  // Rect::right()/bottom() are int32 sums; refuse a rect whose far edges
+  // do not fit, so no later clip or intersect overflows on wire input.
+  const auto fits = [](int64_t v) { return v >= INT32_MIN && v <= INT32_MAX; };
+  return fits(int64_t{r->x} + r->width) && fits(int64_t{r->y} + r->height);
 }
 
 bool WireReader::PointVal(Point* p) { return I32(&p->x) && I32(&p->y); }

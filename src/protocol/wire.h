@@ -113,6 +113,9 @@ class WireReader {
   bool I32(int32_t* v);
   bool I64(int64_t* v);
   bool Bytes(size_t n, std::vector<uint8_t>* out);
+  // Like Bytes, but returns a view into the payload instead of a copy.
+  bool View(size_t n, std::span<const uint8_t>* out);
+  // Fails on a rect whose right or bottom edge overflows int32.
   bool RectVal(Rect* r);
   bool PointVal(Point* p);
   bool RegionVal(Region* region);

@@ -67,6 +67,12 @@ Yv12Frame Yv12Frame::Allocate(int32_t width, int32_t height) {
   return f;
 }
 
+uint64_t Yv12Frame::PackedSize(int32_t width, int32_t height) {
+  const uint64_t w = (static_cast<uint64_t>(width) + 1) & ~uint64_t{1};
+  const uint64_t h = (static_cast<uint64_t>(height) + 1) & ~uint64_t{1};
+  return w * h + 2 * (w / 2) * (h / 2);
+}
+
 std::vector<uint8_t> Yv12Frame::Pack() const {
   std::vector<uint8_t> out;
   out.reserve(byte_size());
@@ -77,7 +83,7 @@ std::vector<uint8_t> Yv12Frame::Pack() const {
 }
 
 Yv12Frame Yv12Frame::Unpack(int32_t width, int32_t height,
-                            const std::vector<uint8_t>& data) {
+                            std::span<const uint8_t> data) {
   Yv12Frame f = Allocate(width, height);
   THINC_CHECK(data.size() == f.byte_size());
   std::memcpy(f.y.data(), data.data(), f.y.size());
@@ -129,19 +135,52 @@ Surface Yv12ToRgb(const Yv12Frame& frame) {
 Surface Yv12ScaleToRgb(const Yv12Frame& frame, int32_t dst_width, int32_t dst_height) {
   THINC_CHECK(dst_width > 0 && dst_height > 0);
   Surface out(dst_width, dst_height);
-  int32_t cw = frame.width / 2;
-  for (int32_t dy = 0; dy < dst_height; ++dy) {
-    int32_t sy = static_cast<int32_t>(static_cast<int64_t>(dy) * frame.height /
-                                      dst_height);
-    for (int32_t dx = 0; dx < dst_width; ++dx) {
-      int32_t sx = static_cast<int32_t>(static_cast<int64_t>(dx) * frame.width /
-                                        dst_width);
-      uint8_t y = frame.y[static_cast<size_t>(sy) * frame.width + sx];
-      size_t ci = static_cast<size_t>(sy / 2) * cw + sx / 2;
-      out.Put(dx, dy, YuvToRgb(y, frame.u[ci], frame.v[ci]));
+  Yv12ScaleInto(frame, &out, out.bounds());
+  return out;
+}
+
+void Yv12ScaleInto(const Yv12Frame& frame, Surface* dst, const Rect& rect) {
+  // The pointer walk below relies on the planes Allocate() lays out.
+  THINC_CHECK(frame.width > 0 && frame.height > 0 && frame.width % 2 == 0 &&
+              frame.height % 2 == 0);
+  const int32_t cw = frame.width / 2;
+  THINC_CHECK(frame.y.size() == static_cast<size_t>(frame.width) * frame.height &&
+              frame.u.size() == static_cast<size_t>(cw) * (frame.height / 2) &&
+              frame.v.size() == frame.u.size());
+  const Rect clip = rect.Intersect(dst->bounds());
+  if (clip.empty()) {
+    return;
+  }
+  // Nearest-neighbour source column of every visible output column.
+  std::vector<int32_t> sx(static_cast<size_t>(clip.width));
+  for (int32_t x = 0; x < clip.width; ++x) {
+    sx[x] = static_cast<int32_t>((int64_t{clip.x} - rect.x + x) * frame.width /
+                                 rect.width);
+  }
+  // Output rows that map to the same source row are identical, so each
+  // distinct source row is converted once and later rows copy it.
+  std::vector<Pixel> converted(static_cast<size_t>(frame.width));
+  int32_t prev_sy = -1;
+  for (int32_t y = clip.y; y < clip.bottom(); ++y) {
+    const int32_t sy =
+        static_cast<int32_t>((int64_t{y} - rect.y) * frame.height / rect.height);
+    std::span<Pixel> out = dst->mutable_row(y).subspan(clip.x, clip.width);
+    if (sy == prev_sy) {
+      std::span<const Pixel> above = dst->row(y - 1).subspan(clip.x, clip.width);
+      std::memcpy(out.data(), above.data(), out.size_bytes());
+      continue;
+    }
+    prev_sy = sy;
+    const uint8_t* ys = frame.y.data() + static_cast<size_t>(sy) * frame.width;
+    const uint8_t* us = frame.u.data() + static_cast<size_t>(sy / 2) * cw;
+    const uint8_t* vs = frame.v.data() + static_cast<size_t>(sy / 2) * cw;
+    for (int32_t x = 0; x < frame.width; ++x) {
+      converted[x] = YuvToRgb(ys[x], us[x / 2], vs[x / 2]);
+    }
+    for (int32_t x = 0; x < clip.width; ++x) {
+      out[x] = converted[sx[x]];
     }
   }
-  return out;
 }
 
 Yv12Frame Yv12Downscale(const Yv12Frame& frame, int32_t dst_width, int32_t dst_height) {

@@ -10,6 +10,7 @@
 #define THINC_SRC_RASTER_YUV_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/raster/surface.h"
@@ -27,13 +28,18 @@ struct Yv12Frame {
 
   static Yv12Frame Allocate(int32_t width, int32_t height);
 
+  // byte_size() of Allocate(width, height) for positive dimensions, computed
+  // in 64 bits so that any int32 pair (e.g. from the wire) is safe to size
+  // before anything is allocated.
+  static uint64_t PackedSize(int32_t width, int32_t height);
+
   // Total payload bytes: the famous 1.5 bytes per pixel.
   size_t byte_size() const { return y.size() + v.size() + u.size(); }
 
   // Serializes/deserializes the planes as one contiguous buffer (wire form).
   std::vector<uint8_t> Pack() const;
   static Yv12Frame Unpack(int32_t width, int32_t height,
-                          const std::vector<uint8_t>& data);
+                          std::span<const uint8_t> data);
 };
 
 // BT.601 full-range conversion of an RGB surface into YV12 with 2x2 chroma
@@ -43,11 +49,20 @@ Yv12Frame RgbToYv12(const Surface& rgb);
 // Converts a YV12 frame to RGB at the frame's native size.
 Surface Yv12ToRgb(const Yv12Frame& frame);
 
-// Models the client's hardware overlay: converts and bilinearly scales the
-// frame to `dst_width` x `dst_height` in one pass. Scaling is free on real
-// overlay hardware, which is why full-screen playback costs no extra
+// Models the client's hardware overlay: converts and nearest-neighbour
+// scales the frame to `dst_width` x `dst_height` in one pass. Scaling is free
+// on real overlay hardware, which is why full-screen playback costs no extra
 // bandwidth in THINC.
 Surface Yv12ScaleToRgb(const Yv12Frame& frame, int32_t dst_width, int32_t dst_height);
+
+// The same conversion written straight into `dst`: the frame is scaled to
+// the whole of `rect` and then clipped to `dst`'s bounds, so a partly
+// off-screen stream shows exactly the pixels the unclipped scale would put
+// on screen. Pixels of `dst` outside `rect` are untouched; an empty or fully
+// off-surface `rect` writes nothing. `frame` must have the even size and
+// plane layout Allocate() gives it. Yv12ScaleToRgb is this kernel over a
+// fresh surface.
+void Yv12ScaleInto(const Yv12Frame& frame, Surface* dst, const Rect& rect);
 
 // Server-side downscale of a YV12 frame (used for small-screen clients so
 // video bandwidth shrinks with the viewport, Section 8.3). Box-filters each

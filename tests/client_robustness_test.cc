@@ -92,6 +92,73 @@ TEST(ClientRobustnessTest, NegativeVideoGeometryDropped) {
   EXPECT_TRUE(h.client.video_frames().empty());
 }
 
+// A video frame whose header claims `width` x `height` but carries only a
+// few bytes of planes must be dropped before anything is sized from it.
+void ExpectHostileVideoGeometryDropped(int32_t width, int32_t height) {
+  ClientHarness h;
+  WireWriter setup;
+  setup.I32(1);
+  setup.I32(16);
+  setup.I32(16);
+  setup.RectVal(Rect{0, 0, 64, 64});
+  h.Inject(BuildFrame(MsgType::kVideoSetup, setup.data()));
+  WireWriter frame;
+  frame.I32(1);
+  frame.I32(width);
+  frame.I32(height);
+  frame.I64(0);
+  frame.Bytes(std::vector<uint8_t>(20, 0x55));
+  h.Inject(BuildFrame(MsgType::kVideoFrame, frame.data()));
+  EXPECT_TRUE(h.client.video_frames().empty());
+}
+
+TEST(ClientRobustnessTest, MaxWidthVideoFrameDropped) {
+  // Rounding INT32_MAX up to even would overflow in 32 bits.
+  ExpectHostileVideoGeometryDropped(INT32_MAX, 1);
+  ExpectHostileVideoGeometryDropped(INT32_MAX, INT32_MAX);
+}
+
+TEST(ClientRobustnessTest, HugeVideoFrameDroppedWithoutAllocating) {
+  // 1<<20 squared is ~1.5 TB of planes claimed by a 20-byte payload.
+  ExpectHostileVideoGeometryDropped(1 << 20, 1 << 20);
+}
+
+TEST(ClientRobustnessTest, OverflowingStreamRectDropped) {
+  // A stream rect whose right edge overflows int32 is refused at setup and
+  // at move, so no frame is ever clipped against it.
+  ClientHarness h;
+  auto setup = [&h](const Rect& dst) {
+    WireWriter w;
+    w.I32(1);
+    w.I32(8);
+    w.I32(8);
+    w.RectVal(dst);
+    h.Inject(BuildFrame(MsgType::kVideoSetup, w.data()));
+  };
+  auto move = [&h](const Rect& dst) {
+    WireWriter w;
+    w.I32(1);
+    w.RectVal(dst);
+    h.Inject(BuildFrame(MsgType::kVideoMove, w.data()));
+  };
+  auto frame = [&h] {
+    WireWriter w;
+    w.I32(1);
+    w.I32(8);
+    w.I32(8);
+    w.I64(0);
+    w.Bytes(Yv12Frame::Allocate(8, 8).Pack());
+    h.Inject(BuildFrame(MsgType::kVideoFrame, w.data()));
+  };
+  setup(Rect{INT32_MAX - 5, 0, 100, 10});
+  frame();
+  EXPECT_TRUE(h.client.video_frames().empty());
+  setup(Rect{0, 0, 16, 16});
+  move(Rect{0, INT32_MIN + 5, 16, -100});
+  frame();
+  EXPECT_EQ(h.client.video_frames().size(), 1u);
+}
+
 TEST(ClientRobustnessTest, AudioLengthMismatchDropped) {
   ClientHarness h;
   WireWriter audio;

@@ -53,6 +53,60 @@ TEST(Rc4Test, VectorSecret) {
   EXPECT_EQ(Hex(out), "45A01F645FC35B383552544B9BF5");
 }
 
+// RFC 6229, 40-bit key 0x0102030405: keystream blocks on both sides of the
+// first wrap of the PRGA index i (after byte 255) and of the second.
+TEST(Rc4Test, Rfc6229KeystreamPastIndexWrap) {
+  std::vector<uint8_t> key = {0x01, 0x02, 0x03, 0x04, 0x05};
+  Rc4Cipher c(key);
+  std::vector<uint8_t> ks = c.Process(std::vector<uint8_t>(528, 0));
+  auto block = [&](size_t off) { return Hex(std::span(ks).subspan(off, 16)); };
+  EXPECT_EQ(block(0), "B2396305F03DC027CCC3524A0A1118A8");
+  EXPECT_EQ(block(16), "6982944F18FC82D589C403A47A0D0919");
+  EXPECT_EQ(block(240), "28CB1132C96CE286421DCAADB8B69EAE");
+  EXPECT_EQ(block(256), "1CFCF62B03EDDB641D77DFCF7F8D8C93");
+  EXPECT_EQ(block(496), "42B7D0CDD918A8A33DD51781C81F4041");
+  EXPECT_EQ(block(512), "6459844432A7DA923CFB3EB4980661F6");
+}
+
+TEST(Rc4Test, InPlaceMatchesOutOfPlace) {
+  std::vector<uint8_t> key = Bytes("0123456789abcdef");
+  Rc4Cipher a(key);
+  Rc4Cipher b(key);
+  Prng rng(45);
+  std::vector<uint8_t> msg(3000);
+  for (uint8_t& byte : msg) {
+    byte = static_cast<uint8_t>(rng.Next());
+  }
+  std::vector<uint8_t> out(msg.size());
+  a.Process(msg, out);
+  std::vector<uint8_t> buf = msg;
+  b.Process(buf, buf);
+  EXPECT_EQ(buf, out);
+}
+
+TEST(Rc4Test, ChunkedStreamEqualsByteAtATimeKeystream) {
+  // 64 KB in random-length chunks, with single keystream bytes drawn in
+  // between, must follow exactly the byte-at-a-time keystream.
+  std::vector<uint8_t> key = Bytes("Secret");
+  Rc4Cipher reference(key);
+  Rc4Cipher chunked(key);
+  Prng rng(46);
+  std::vector<uint8_t> want;
+  std::vector<uint8_t> got;
+  while (got.size() < (64u << 10)) {
+    std::vector<uint8_t> chunk(rng.NextInRange(0, 3000));
+    chunked.Process(chunk, chunk);  // zeros in, keystream out
+    got.insert(got.end(), chunk.begin(), chunk.end());
+    for (size_t k = rng.NextInRange(0, 3); k > 0; --k) {
+      got.push_back(chunked.NextKeystreamByte());
+    }
+  }
+  for (size_t k = 0; k < got.size(); ++k) {
+    want.push_back(reference.NextKeystreamByte());
+  }
+  EXPECT_EQ(got, want);
+}
+
 TEST(Rc4Test, EncryptDecryptRoundTrip) {
   std::vector<uint8_t> key = Bytes("0123456789abcdef");  // 128-bit
   Rc4Cipher enc(key);

@@ -267,6 +267,24 @@ TEST(ThincSystemTest, VideoStreamDeliversAllFrames) {
   EXPECT_GT(sys.BytesToClient(), expected - expected / 10);
 }
 
+TEST(ThincSystemTest, PartlyOffscreenVideoConverges) {
+  // The stream rect hangs off the right and bottom edges. The client must
+  // scale to the whole rect and then clip, as the reference screen does,
+  // rather than squeeze the frame into the visible part.
+  EventLoop loop;
+  ThincSystem sys(&loop, LanDesktopLink(), 128, 96);
+  VideoSourceOptions vo;
+  vo.width = 64;
+  vo.height = 48;
+  vo.fps = 24;
+  vo.duration = kSecond / 4;
+  vo.dst = Rect{64, 48, 128, 96};
+  VideoSource video(&loop, sys.api(), sys.app_cpu(), vo);
+  video.Start();
+  ExpectConverged(&loop, &sys);
+  EXPECT_GT(sys.client()->video_frames().size(), 0u);
+}
+
 TEST(ThincSystemTest, VideoFramesDropWhenLinkTooSlow) {
   EventLoop loop;
   LinkParams slow{2'000'000, 1'000, 1 << 20, "slow"};  // 0.25 MB/s

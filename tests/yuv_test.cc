@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "src/util/prng.h"
 
 namespace thinc {
@@ -85,6 +88,83 @@ TEST(YuvTest, ScaleConstantFrameStaysConstant) {
   Pixel corner = big.At(0, 0);
   Pixel center = big.At(64, 48);
   EXPECT_EQ(corner, center);
+}
+
+// Reference model of the overlay: a per-pixel loop, one divide per pixel,
+// that scales to the whole rect and clips to the surface.
+void NaiveScaleInto(const Yv12Frame& frame, Surface* dst, const Rect& rect) {
+  int32_t cw = frame.width / 2;
+  for (int32_t dy = 0; dy < rect.height; ++dy) {
+    int32_t sy = static_cast<int32_t>(static_cast<int64_t>(dy) * frame.height /
+                                      rect.height);
+    for (int32_t dx = 0; dx < rect.width; ++dx) {
+      int32_t sx = static_cast<int32_t>(static_cast<int64_t>(dx) * frame.width /
+                                        rect.width);
+      if (!dst->bounds().Contains(Point{rect.x + dx, rect.y + dy})) {
+        continue;
+      }
+      int32_t c = frame.y[static_cast<size_t>(sy) * frame.width + sx];
+      size_t ci = static_cast<size_t>(sy / 2) * cw + sx / 2;
+      int32_t d = frame.u[ci] - 128;
+      int32_t e = frame.v[ci] - 128;
+      auto clamp = [](int32_t v) { return static_cast<uint8_t>(std::clamp(v, 0, 255)); };
+      dst->Put(rect.x + dx, rect.y + dy,
+               MakePixel(clamp(c + ((359 * e) >> 8)),
+                         clamp(c - ((88 * d + 183 * e) >> 8)),
+                         clamp(c + ((454 * d) >> 8))));
+    }
+  }
+}
+
+Yv12Frame RandomFrame(int32_t w, int32_t h, uint64_t seed) {
+  Yv12Frame f = Yv12Frame::Allocate(w, h);
+  Prng rng(seed);
+  for (std::vector<uint8_t>* plane : {&f.y, &f.u, &f.v}) {
+    for (uint8_t& b : *plane) {
+      b = static_cast<uint8_t>(rng.Next());
+    }
+  }
+  return f;
+}
+
+TEST(YuvTest, ScaleIntoMatchesNaiveReference) {
+  struct Case {
+    int32_t fw, fh;  // frame
+    int32_t sw, sh;  // destination surface
+    Rect rect;
+  };
+  const Case cases[] = {
+      {352, 240, 1024, 768, Rect{0, 0, 1024, 768}},   // the A/V workload
+      {352, 240, 200, 150, Rect{3, 5, 177, 97}},      // downscale
+      {7, 5, 64, 48, Rect{1, 2, 53, 37}},             // odd frame, odd rect
+      {33, 17, 40, 40, Rect{0, 0, 29, 41}},           // odd frame, clipped
+      {64, 48, 16, 16, Rect{9, 4, 1, 1}},             // 1x1 output
+      {64, 48, 100, 80, Rect{-30, -20, 160, 120}},    // overhangs every edge
+      {64, 48, 100, 80, Rect{60, 50, 128, 96}},       // overhangs right/bottom
+      {64, 48, 100, 80, Rect{100, 0, 50, 50}},        // fully off the right
+      {64, 48, 100, 80, Rect{-60, -60, 50, 50}},      // fully off the top-left
+  };
+  uint64_t seed = 1;
+  for (const Case& c : cases) {
+    Yv12Frame f = RandomFrame(c.fw, c.fh, seed++);
+    Surface want(c.sw, c.sh, MakePixel(1, 2, 3));
+    Surface got(c.sw, c.sh, MakePixel(1, 2, 3));
+    NaiveScaleInto(f, &want, c.rect);
+    Yv12ScaleInto(f, &got, c.rect);
+    int64_t diff = 0;
+    EXPECT_TRUE(got.Equals(want, &diff))
+        << c.fw << "x" << c.fh << " -> " << c.rect.x << "," << c.rect.y << " "
+        << c.rect.width << "x" << c.rect.height << ": " << diff << " pixels differ";
+  }
+}
+
+TEST(YuvTest, ScaleToRgbMatchesNaiveReference) {
+  for (auto [w, h] : {std::pair{1024, 768}, std::pair{100, 61}, std::pair{1, 1}}) {
+    Yv12Frame f = RandomFrame(352, 240, static_cast<uint64_t>(w));
+    Surface want(w, h);
+    NaiveScaleInto(f, &want, want.bounds());
+    EXPECT_TRUE(Yv12ScaleToRgb(f, w, h).Equals(want)) << w << "x" << h;
+  }
 }
 
 TEST(YuvTest, DownscaleHalvesPlanes) {
