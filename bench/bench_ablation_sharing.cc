@@ -27,7 +27,7 @@ int main() {
     loop.Run();
     WebWorkload workload(1024, 768);
     SimTime cpu0 = host.host_cpu()->total_busy();
-    BufferStats encode0 = bench::SnapshotBufferStats();
+    BufferStats encode0 = BufferStats::Get();
     double worst_ms = 0;
     int64_t total_bytes = 0;
     std::vector<int64_t> base;
@@ -48,7 +48,7 @@ int main() {
     for (size_t i = 0; i < vs.size(); ++i) {
       total_bytes += vs[i]->transport->BytesDeliveredTo(Connection::kClient) - base[i];
     }
-    BufferStats encodes = bench::BufferStatsDelta(encode0, bench::SnapshotBufferStats());
+    BufferStats encodes = bench::BufferStatsDelta(encode0, BufferStats::Get());
     std::printf("%7d %14.0f %17.1f %14.0f %16.1f %16.1f\n", viewers, worst_ms,
                 static_cast<double>(host.host_cpu()->total_busy() - cpu0) /
                     kMillisecond / pages,

@@ -26,11 +26,14 @@
 // run renders exactly the final screens of a no-migration run — which is
 // what makes the zero-lost-updates hash check exact.
 //
-// Emits BENCH_cluster.json (virtual-time quantities only: byte-identical
-// across reruns) and TRACE_cluster.json (Chrome trace of the migration
-// scenario). --smoke runs the migration gate twice and THINC_CHECKs
-// schedule + content determinism, zero lost updates, and the blackout
-// bound; scripts/check.sh runs it on every commit.
+// Emits BENCH_cluster.json (virtual-time quantities only: the `results`
+// block is byte-identical across reruns) and TRACE_cluster.json (Chrome
+// trace of the migration scenario). --smoke (scripts/check.sh) runs a
+// 2-host skewed cluster twice, telemetry off and then spans on, and
+// THINC_CHECKs that the migration schedule, per-session bytes, framebuffer
+// hashes and virtual end time are identical across the reruns, that at
+// least one live migration completes with zero lost updates, and that
+// blackout p95 stays under the full-refresh handoff bound.
 
 #include "bench/bench_common.h"
 
@@ -52,23 +55,9 @@ using namespace thinc;
 
 namespace {
 
+using bench::Json;
+
 constexpr double kSloMs = 1000.0;  // pooled p95 update-latency SLO
-
-int PagesPerSession() {
-  const char* env = std::getenv("THINC_CLUSTER_PAGES");
-  if (env != nullptr && std::atoi(env) > 0) {
-    return std::atoi(env);
-  }
-  return 4;
-}
-
-int ScaleHosts() {
-  const char* env = std::getenv("THINC_CLUSTER_MAX_HOSTS");
-  if (env != nullptr && std::atoi(env) > 0) {
-    return std::atoi(env);
-  }
-  return 32;
-}
 
 ClusterOptions MakeOptions(const ClusterExperimentConfig& c) {
   ClusterOptions co;
@@ -385,18 +374,12 @@ int RunSmoke() {
   return 0;
 }
 
-void WriteRunJson(std::FILE* f, const ClusterRun& r) {
-  std::fprintf(f,
-               "      {\"hosts\": %d, \"n\": %d, \"ladder\": %s, "
-               "\"migration\": %s, \"pooled_p95_ms\": %.3f, \"updates\": "
-               "%lld, \"wire_bytes\": %lld, \"migrations\": %lld, "
-               "\"end_vtime_us\": %lld}",
-               r.hosts, r.n, r.ladder ? "true" : "false",
-               r.migration ? "true" : "false", r.pooled_p95_ms,
-               static_cast<long long>(r.spans_completed),
-               static_cast<long long>(r.wire_bytes),
-               static_cast<long long>(r.migrations),
-               static_cast<long long>(r.end_vtime));
+Json RunJson(const ClusterRun& r) {
+  return Json::Object({{"hosts", r.hosts}, {"n", r.n}, {"ladder", r.ladder},
+                       {"migration", r.migration},
+                       {"pooled_p95_ms", Json::Fixed(r.pooled_p95_ms, 3)},
+                       {"updates", r.spans_completed}, {"wire_bytes", r.wire_bytes},
+                       {"migrations", r.migrations}, {"end_vtime_us", r.end_vtime}});
 }
 
 }  // namespace
@@ -405,7 +388,7 @@ int main(int argc, char** argv) {
   if (argc > 1 && std::strcmp(argv[1], "--smoke") == 0) {
     return RunSmoke();
   }
-  const int pages = PagesPerSession();
+  const int pages = bench::EnvPositiveInt("THINC_CLUSTER_PAGES", 4);
   TelemetryConfig spans_only;
   spans_only.spans = true;
 
@@ -444,7 +427,7 @@ int main(int argc, char** argv) {
   }
 
   // -- Hundreds-scale: the cluster at the knee (SLO held) and past it.
-  const int scale_hosts = ScaleHosts();
+  const int scale_hosts = bench::EnvPositiveInt("THINC_CLUSTER_MAX_HOSTS", 32);
   std::printf("\n-- Hundreds-scale (H=%d, ladder on, migration on) --\n",
               scale_hosts);
   std::printf("%6s %4s %4s %14s %10s %12s %10s %6s\n", "hosts", "k", "N",
@@ -492,56 +475,36 @@ int main(int argc, char** argv) {
       "0 lost updates, identical final content)\n",
       m.with.pooled_p95_ms, m.without.pooled_p95_ms);
 
-  std::FILE* f = std::fopen("BENCH_cluster.json", "w");
-  if (f != nullptr) {
-    std::fprintf(
-        f,
-        "{\n  \"config\": {\"screen\": [%d, %d], \"pages_per_session\": %d, "
-        "\"think_ms\": %lld, \"host_nic_bps\": %lld, \"interconnect_bps\": "
-        "%lld, \"slo_ms\": %.0f},\n",
-        base.screen_width, base.screen_height, pages,
-        static_cast<long long>(base.think_time / kMillisecond),
-        static_cast<long long>(base.link.bandwidth_bps),
-        static_cast<long long>(base.interconnect_bps), kSloMs);
-    std::fprintf(f, "  \"knee\": {\n    \"per_host\": {");
-    for (size_t i = 0; i < knees.size(); ++i) {
-      std::fprintf(f, "%s\"h%d\": %d", i > 0 ? ", " : "", knees[i].hosts,
-                   knees[i].knee_per_host);
+  bench::Report report;
+  const Json screen = Json::Array().Push(base.screen_width).Push(base.screen_height);
+  report.Set("config", Json::Object({{"screen", screen}, {"pages_per_session", pages},
+                                     {"think_ms", base.think_time / kMillisecond},
+                                     {"host_nic_bps", base.link.bandwidth_bps},
+                                     {"interconnect_bps", base.interconnect_bps},
+                                     {"slo_ms", Json::Fixed(kSloMs, 0)}}));
+  Json per_host = Json::Object();
+  Json knee_sweep = Json::Array();
+  for (const KneeResult& kr : knees) {
+    per_host.Set("h" + std::to_string(kr.hosts), kr.knee_per_host);
+    for (const ClusterRun& r : kr.runs) {
+      knee_sweep.Push(RunJson(r));
     }
-    std::fprintf(f, "},\n    \"sweep\": [\n");
-    bool first = true;
-    for (const KneeResult& kr : knees) {
-      for (const ClusterRun& r : kr.runs) {
-        if (!first) {
-          std::fprintf(f, ",\n");
-        }
-        first = false;
-        WriteRunJson(f, r);
-      }
-    }
-    std::fprintf(f, "\n    ]\n  },\n  \"scale\": {\n    \"sweep\": [\n");
-    for (size_t i = 0; i < scale_runs.size(); ++i) {
-      WriteRunJson(f, scale_runs[i]);
-      std::fprintf(f, i + 1 < scale_runs.size() ? ",\n" : "\n");
-    }
-    std::fprintf(
-        f,
-        "    ]\n  },\n  \"migration\": {\"sessions\": %d, \"migrations\": "
-        "%lld, \"differential\": %lld, \"bounced\": %lld, "
-        "\"state_bytes_total\": %lld, \"blackout_p50_ms\": %.3f, "
-        "\"blackout_p95_ms\": %.3f, \"full_refresh_bound_ms\": %.3f, "
-        "\"p95_ms_with\": %.3f, \"p95_ms_without\": %.3f, "
-        "\"lost_updates\": %lld}\n}\n",
-        m.with.n, static_cast<long long>(m.with.migrations),
-        static_cast<long long>(m.with.differential),
-        static_cast<long long>(m.with.bounced),
-        static_cast<long long>(m.with.state_bytes_total), m.blackout_p50_ms,
-        m.blackout_p95_ms, m.full_refresh_ms, m.with.pooled_p95_ms,
-        m.without.pooled_p95_ms,
-        static_cast<long long>(m.with.mismatched_pixels));
-    std::fclose(f);
-    std::printf("\nwrote BENCH_cluster.json\n");
   }
+  report.Set("knee", Json::Object({{"per_host", per_host}, {"sweep", knee_sweep}}));
+  report.Set("scale", Json::Object({{"sweep", Json::ArrayOf(scale_runs, RunJson)}}));
+  report.Set("migration",
+             Json::Object({{"sessions", m.with.n}, {"migrations", m.with.migrations},
+                           {"differential", m.with.differential},
+                           {"bounced", m.with.bounced},
+                           {"state_bytes_total", m.with.state_bytes_total},
+                           {"blackout_p50_ms", Json::Fixed(m.blackout_p50_ms, 3)},
+                           {"blackout_p95_ms", Json::Fixed(m.blackout_p95_ms, 3)},
+                           {"full_refresh_bound_ms", Json::Fixed(m.full_refresh_ms, 3)},
+                           {"p95_ms_with", Json::Fixed(m.with.pooled_p95_ms, 3)},
+                           {"p95_ms_without", Json::Fixed(m.without.pooled_p95_ms, 3)},
+                           {"lost_updates", m.with.mismatched_pixels}}));
+  std::printf("\n");
+  report.Write("BENCH_cluster.json");
   std::printf(
       "\nExpected shape: the per-host knee is flat in H (hosts are\n"
       "independent replicas behind least-loaded placement); at hundreds of\n"

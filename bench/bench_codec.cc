@@ -18,9 +18,12 @@
 //      dominates update latency. Adaptive selection (delta + subsample)
 //      must cut the p95 round latency vs intra-only.
 //
-// Emits BENCH_codec.json (virtual quantities only: byte-identical across
-// reruns). `--smoke` runs the scripts/check.sh gate: a short WAN A/B
-// THINC_CHECKing that deltas engage, save bytes, and lose nothing.
+// Emits BENCH_codec.json (virtual quantities only: the `results` block is
+// byte-identical across reruns). `--smoke` runs the scripts/check.sh gate:
+// a WAN desktop-repaint run with adaptive selection on, then off,
+// THINC_CHECKing that the delta rung engages (hits > 0), that both arms
+// deliver pixel-exact framebuffers, and that delta moves fewer wire bytes
+// than intra at equal fidelity.
 #include "bench/bench_common.h"
 
 #include <cstring>
@@ -34,6 +37,8 @@
 using namespace thinc;
 
 namespace {
+
+using bench::Json;
 
 constexpr int32_t kScreenW = 160, kScreenH = 120;
 constexpr int32_t kWinW = 96, kWinH = 64;
@@ -269,47 +274,29 @@ int main(int argc, char** argv) {
                   "adaptive selection must improve p95 update latency on a "
                   "starved WAN link");
 
-  std::FILE* f = std::fopen("BENCH_codec.json", "w");
-  if (f != nullptr) {
-    std::fprintf(f, "{\n  \"rungs\": [\n");
-    for (size_t i = 0; i < rungs.size(); ++i) {
-      const RungResult& r = rungs[i];
-      std::fprintf(
-          f,
-          "    {\"level\": %d, \"web_page_kb\": %.3f, \"web_latency_ms\": "
-          "%.3f, \"av_quality\": %.4f, \"av_bytes\": %lld, \"desktop_bytes\": "
-          "%lld, \"desktop_delta_hits\": %lld, \"desktop_mismatched_pixels\": "
-          "%lld}%s\n",
-          r.level, r.web_page_kb, r.web_latency_ms, r.av_quality,
-          static_cast<long long>(r.av_bytes),
-          static_cast<long long>(r.desktop.bytes),
-          static_cast<long long>(r.desktop.delta_hits),
-          static_cast<long long>(r.desktop.mismatched_pixels),
-          i + 1 < rungs.size() ? "," : "");
-    }
-    auto write_arm = [f](const char* name, const DesktopRun& r, bool last) {
-      std::fprintf(f,
-                   "    \"%s\": {\"bytes\": %lld, \"delta_hits\": %lld, "
-                   "\"delta_fallbacks\": %lld, \"bytes_saved\": %lld, "
-                   "\"p95_round_us\": %lld, \"mismatched_pixels\": %lld}%s\n",
-                   name, static_cast<long long>(r.bytes),
-                   static_cast<long long>(r.delta_hits),
-                   static_cast<long long>(r.delta_fallbacks),
-                   static_cast<long long>(r.bytes_saved),
-                   static_cast<long long>(r.p95_round_us),
-                   static_cast<long long>(r.mismatched_pixels),
-                   last ? "" : ",");
-    };
-    std::fprintf(f, "  ],\n  \"wan_equal_fidelity\": {\n");
-    write_arm("adaptive", wan_on, false);
-    write_arm("intra_only", wan_off, true);
-    std::fprintf(f, "  },\n  \"wan_starved\": {\n");
-    write_arm("adaptive", slow_on, false);
-    write_arm("intra_only", slow_off, true);
-    std::fprintf(f, "  }\n}\n");
-    std::fclose(f);
-    std::printf("\nwrote BENCH_codec.json\n");
-  }
+  bench::Report report;
+  report.Set("rungs", Json::ArrayOf(rungs, [](const RungResult& r) {
+    return Json::Object({{"level", r.level},
+                         {"web_page_kb", Json::Fixed(r.web_page_kb, 3)},
+                         {"web_latency_ms", Json::Fixed(r.web_latency_ms, 3)},
+                         {"av_quality", Json::Fixed(r.av_quality, 4)},
+                         {"av_bytes", r.av_bytes},
+                         {"desktop_bytes", r.desktop.bytes},
+                         {"desktop_delta_hits", r.desktop.delta_hits},
+                         {"desktop_mismatched_pixels", r.desktop.mismatched_pixels}});
+  }));
+  auto arm = [](const DesktopRun& r) {
+    return Json::Object({{"bytes", r.bytes}, {"delta_hits", r.delta_hits},
+                         {"delta_fallbacks", r.delta_fallbacks},
+                         {"bytes_saved", r.bytes_saved}, {"p95_round_us", r.p95_round_us},
+                         {"mismatched_pixels", r.mismatched_pixels}});
+  };
+  report.Set("wan_equal_fidelity",
+             Json::Object({{"adaptive", arm(wan_on)}, {"intra_only", arm(wan_off)}}));
+  report.Set("wan_starved",
+             Json::Object({{"adaptive", arm(slow_on)}, {"intra_only", arm(slow_off)}}));
+  std::printf("\n");
+  report.Write("BENCH_codec.json");
   std::printf(
       "\nExpected shape: the level-2 codec rung cuts desktop repaint volume\n"
       "with zero fidelity loss; on the WAN the estimator engages it without\n"

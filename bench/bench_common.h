@@ -13,9 +13,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "bench/bench_report.h"
 #include "src/measure/experiment.h"
 #include "src/util/buffer.h"
 
@@ -39,15 +41,39 @@ inline std::vector<SystemKind> PdaSystems() {
           SystemKind::kVnc, SystemKind::kThinc};
 }
 
+// The value of environment variable `name` when it parses as an int > 0,
+// else `fallback`. The env knobs select bench inputs only (EXPERIMENTS.md).
+inline int EnvPositiveInt(const char* name, int fallback) {
+  const char* env = std::getenv(name);
+  const int v = env != nullptr ? std::atoi(env) : 0;
+  return v > 0 ? v : fallback;
+}
+
+// `sizes` without the entries above the limit env variable `name` sets (all
+// of them when it is unset), to trim a sweep's tail on small machines.
+inline std::vector<int> TrimAbove(std::vector<int> sizes, const char* name) {
+  const int max_n = EnvPositiveInt(name, 0);
+  if (max_n > 0) {
+    std::erase_if(sizes, [max_n](int n) { return n > max_n; });
+  }
+  return sizes;
+}
+
 inline int32_t WebPageCount() {
-  const char* env = std::getenv("THINC_WEB_PAGES");
-  if (env != nullptr) {
-    int n = std::atoi(env);
-    if (n > 0) {
-      return n;
+  return EnvPositiveInt("THINC_WEB_PAGES", 54);  // the full i-Bench-style suite
+}
+
+// The capacity knee: the largest `n` among `runs` matching `pred` whose
+// pooled p95 latency is within `slo_ms`; 0 when none is.
+template <typename Run, typename Pred>
+int Knee(const std::vector<Run>& runs, double slo_ms, Pred pred) {
+  int best = 0;
+  for (const Run& r : runs) {
+    if (pred(r) && r.pooled_p95_ms <= slo_ms) {
+      best = std::max(best, r.n);
     }
   }
-  return 54;  // the full i-Bench-style suite
+  return best;
 }
 
 // Nearest-rank percentile over integer microseconds (deterministic; no FP
@@ -73,11 +99,9 @@ inline void PrintHeader(const char* title, const char* columns) {
 // --- Buffer-traffic instrumentation -----------------------------------------
 //
 // Benches that want to attribute cost to data movement snapshot the global
-// BufferStats counters around a workload and report the deltas (the
-// simulation is single-threaded, so a snapshot pair brackets exactly the
-// bracketed work).
-
-inline BufferStats SnapshotBufferStats() { return BufferStats::Get(); }
+// BufferStats counters (BufferStats::Get()) around a workload and report the
+// deltas (the simulation is single-threaded, so a snapshot pair brackets
+// exactly the bracketed work).
 
 // Counter deltas of `end` relative to `start` (peak/live are taken from
 // `end` as-is: they are levels, not counters).
@@ -112,34 +136,6 @@ inline void PrintBufferStats(const char* label, const BufferStats& s) {
       static_cast<long long>(s.raw_encodes),
       static_cast<long long>(s.payload_encode_hits + s.frame_cache_hits),
       static_cast<double>(s.peak_payload_bytes) / (1024.0 * 1024.0));
-}
-
-// One `"name": {...}` JSON object for a stats delta (no trailing newline).
-inline void WriteBufferStatsJson(std::FILE* f, const char* name,
-                                 const BufferStats& s, double commands_per_sec) {
-  std::fprintf(
-      f,
-      "  \"%s\": {\n"
-      "    \"commands_per_sec\": %.0f,\n"
-      "    \"allocations\": %lld,\n"
-      "    \"allocated_bytes\": %lld,\n"
-      "    \"memcpy_calls\": %lld,\n"
-      "    \"memcpy_bytes\": %lld,\n"
-      "    \"shares\": %lld,\n"
-      "    \"cow_detaches\": %lld,\n"
-      "    \"arena_reuses\": %lld,\n"
-      "    \"raw_encodes\": %lld,\n"
-      "    \"encode_cache_hits\": %lld,\n"
-      "    \"peak_payload_bytes\": %lld\n"
-      "  }",
-      name, commands_per_sec, static_cast<long long>(s.allocations),
-      static_cast<long long>(s.allocated_bytes),
-      static_cast<long long>(s.copies), static_cast<long long>(s.copied_bytes),
-      static_cast<long long>(s.shares), static_cast<long long>(s.cow_detaches),
-      static_cast<long long>(s.arena_reuses),
-      static_cast<long long>(s.raw_encodes),
-      static_cast<long long>(s.payload_encode_hits + s.frame_cache_hits),
-      static_cast<long long>(s.peak_payload_bytes));
 }
 
 }  // namespace bench

@@ -20,13 +20,13 @@
 //
 // Emits BENCH_devices.json. `--smoke` runs the scripts/check.sh gate: the
 // device-class table twice at short duration, THINC_CHECKing that the two
-// passes produce byte-identical JSON (the determinism contract for the
-// device tier) and that the phone arm negotiated its panel and actually
-// saw loss.
+// passes produce byte-identical `results` blocks (the determinism contract
+// for the device tier, lossy paths included) and that the phone arm
+// negotiated its panel viewport and its Gilbert-Elliott WAN path actually
+// dropped segments.
 #include "bench/bench_common.h"
 
 #include <algorithm>
-#include <cstdarg>
 #include <cstring>
 #include <deque>
 #include <string>
@@ -43,6 +43,8 @@
 using namespace thinc;
 
 namespace {
+
+using bench::Json;
 
 constexpr int32_t kScreenW = 512;
 constexpr int32_t kScreenH = 384;
@@ -67,15 +69,6 @@ DeviceProfile BenchPhone() {
   p.screen_height = kScreenH / 2;
   p.link.reset();
   return p;
-}
-
-void AppendF(std::string* out, const char* fmt, ...) {
-  char buf[512];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  *out += buf;
 }
 
 // --- Device-class table ------------------------------------------------------
@@ -193,25 +186,18 @@ std::vector<ClassRun> RunDeviceTable(SimTime duration) {
   };
 }
 
-std::string DeviceTableJson(const std::vector<ClassRun>& table,
-                            SimTime duration) {
-  std::string j;
-  AppendF(&j, "  \"trace_duration_us\": %lld,\n  \"device_classes\": [\n",
-          static_cast<long long>(duration));
-  for (size_t i = 0; i < table.size(); ++i) {
-    const ClassRun& r = table[i];
-    AppendF(&j,
-            "    {\"class\": \"%s\", \"events\": %zu, \"p50_ms\": %.3f, "
-            "\"p95_ms\": %.3f, \"bytes\": %lld, \"segments_lost\": %lld, "
-            "\"decode_busy_us\": %lld, \"viewport\": \"%dx%d\"}%s\n",
-            r.name, r.events, r.p50_ms, r.p95_ms,
-            static_cast<long long>(r.bytes),
-            static_cast<long long>(r.segments_lost),
-            static_cast<long long>(r.decode_busy), r.view_w, r.view_h,
-            i + 1 < table.size() ? "," : "");
-  }
-  AppendF(&j, "  ]");
-  return j;
+// The report's device-class part; the smoke compares two reruns' `results`.
+bench::Report DeviceTableReport(const std::vector<ClassRun>& table, SimTime duration) {
+  bench::Report report;
+  report.Set("trace_duration_us", duration);
+  report.Set("device_classes", Json::ArrayOf(table, [](const ClassRun& r) {
+    return Json::Object(
+        {{"class", r.name}, {"events", r.events}, {"p50_ms", Json::Fixed(r.p50_ms, 3)},
+         {"p95_ms", Json::Fixed(r.p95_ms, 3)}, {"bytes", r.bytes},
+         {"segments_lost", r.segments_lost}, {"decode_busy_us", r.decode_busy},
+         {"viewport", std::to_string(r.view_w) + "x" + std::to_string(r.view_h)}});
+  }));
+  return report;
 }
 
 // --- Mixed-vs-uniform capacity sweep -----------------------------------------
@@ -312,26 +298,6 @@ FleetRun RunPopulation(int n, bool mixed, int pages) {
   return r;
 }
 
-std::vector<int> SweepSizes() {
-  std::vector<int> sizes = {3, 6, 9, 12, 15};
-  const char* env = std::getenv("THINC_FLEET_MAX_N");
-  if (env != nullptr && std::atoi(env) > 0) {
-    const int max_n = std::atoi(env);
-    std::erase_if(sizes, [max_n](int s) { return s > max_n; });
-  }
-  return sizes;
-}
-
-int Knee(const std::vector<FleetRun>& runs, bool mixed) {
-  int best = 0;
-  for (const FleetRun& r : runs) {
-    if (r.mixed == mixed && r.pooled_p95_ms <= kKneeMs) {
-      best = std::max(best, r.n);
-    }
-  }
-  return best;
-}
-
 // --- Smoke gate (scripts/check.sh) -------------------------------------------
 
 int RunSmoke() {
@@ -343,9 +309,8 @@ int RunSmoke() {
   constexpr SimTime kSmokeDuration = 25 * kSecond;
   const std::vector<ClassRun> first = RunDeviceTable(kSmokeDuration);
   const std::vector<ClassRun> second = RunDeviceTable(kSmokeDuration);
-  const std::string a = DeviceTableJson(first, kSmokeDuration);
-  const std::string b = DeviceTableJson(second, kSmokeDuration);
-  THINC_CHECK_MSG(a == b,
+  THINC_CHECK_MSG(DeviceTableReport(first, kSmokeDuration).Results() ==
+                      DeviceTableReport(second, kSmokeDuration).Results(),
                   "device-class table changed between identical reruns; the "
                   "device tier's determinism contract is broken");
   const ClassRun& phone = first[1];
@@ -401,7 +366,7 @@ int main(int argc, char** argv) {
               "nic_bytes", "updates");
   const int pages = 3;
   std::vector<FleetRun> runs;
-  for (int n : SweepSizes()) {
+  for (int n : bench::TrimAbove({3, 6, 9, 12, 15}, "THINC_FLEET_MAX_N")) {
     for (bool mixed : {false, true}) {
       FleetRun r = RunPopulation(n, mixed, pages);
       std::printf("%4d %9s %14.1f %14lld %10lld\n", r.n,
@@ -412,8 +377,10 @@ int main(int argc, char** argv) {
       runs.push_back(r);
     }
   }
-  const int knee_uniform = Knee(runs, /*mixed=*/false);
-  const int knee_mixed = Knee(runs, /*mixed=*/true);
+  const int knee_uniform =
+      bench::Knee(runs, kKneeMs, [](const FleetRun& r) { return !r.mixed; });
+  const int knee_mixed =
+      bench::Knee(runs, kKneeMs, [](const FleetRun& r) { return r.mixed; });
   std::printf("capacity knee (largest N with pooled p95 <= %.0f ms): "
               "uniform-desktop -> %d sessions, mixed -> %d sessions\n",
               kKneeMs, knee_uniform, knee_mixed);
@@ -421,32 +388,20 @@ int main(int argc, char** argv) {
                   "mixed population must hold the knee at or beyond the "
                   "uniform-desktop knee: phone viewports ship less");
 
-  std::string json = "{\n";
-  json += DeviceTableJson(table, kTableDuration);
-  json += ",\n";
-  AppendF(&json,
-          "  \"fleet\": {\n    \"nic_bps\": %lld, \"pages_per_session\": %d, "
-          "\"knee_uniform_desktop\": %d, \"knee_mixed\": %d,\n"
-          "    \"sweep\": [\n",
-          static_cast<long long>(FleetNic().bandwidth_bps), pages,
-          knee_uniform, knee_mixed);
-  for (size_t i = 0; i < runs.size(); ++i) {
-    const FleetRun& r = runs[i];
-    AppendF(&json,
-            "      {\"n\": %d, \"mixed\": %s, \"p95_ms\": %.3f, "
-            "\"nic_bytes\": %lld, \"updates_completed\": %lld}%s\n",
-            r.n, r.mixed ? "true" : "false", r.pooled_p95_ms,
-            static_cast<long long>(r.nic_bytes),
-            static_cast<long long>(r.spans_completed),
-            i + 1 < runs.size() ? "," : "");
-  }
-  json += "    ]\n  }\n}\n";
-  std::FILE* f = std::fopen("BENCH_devices.json", "w");
-  if (f != nullptr) {
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("\nwrote BENCH_devices.json\n");
-  }
+  bench::Report report = DeviceTableReport(table, kTableDuration);
+  Json sweep = Json::ArrayOf(runs, [](const FleetRun& r) {
+    return Json::Object({{"n", r.n}, {"mixed", r.mixed},
+                         {"p95_ms", Json::Fixed(r.pooled_p95_ms, 3)},
+                         {"nic_bytes", r.nic_bytes},
+                         {"updates_completed", r.spans_completed}});
+  });
+  report.Set("fleet", Json::Object({{"nic_bps", FleetNic().bandwidth_bps},
+                                    {"pages_per_session", pages},
+                                    {"knee_uniform_desktop", knee_uniform},
+                                    {"knee_mixed", knee_mixed},
+                                    {"sweep", sweep}}));
+  std::printf("\n");
+  report.Write("BENCH_devices.json");
   std::printf(
       "\nExpected shape: the phone pays latency for its lossy WAN path but\n"
       "ships far fewer bytes through its quarter-area viewport; the terminal\n"

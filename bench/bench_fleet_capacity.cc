@@ -20,12 +20,14 @@
 // Latency comes from telemetry lifecycle spans grouped by each session
 // server's Chrome-trace pid — one pid per session — which is also the
 // structural check that fleet telemetry attribution works. Emits
-// BENCH_fleet.json (byte-identical across runs: everything is virtual-time
-// deterministic) and TRACE_fleet.json (N=4 web run, Perfetto-loadable).
+// BENCH_fleet.json (its `results` block is byte-identical across runs:
+// everything is virtual-time deterministic) and TRACE_fleet.json (N=4 web
+// run, Perfetto-loadable).
 //
 // `--smoke` runs the scripts/check.sh gate instead: an 8-session fleet run
 // twice, telemetry fully off vs fully on, THINC_CHECKing that wire bytes
-// and virtual time are identical (telemetry must never perturb results).
+// and virtual time are identical (telemetry must never perturb results,
+// nor the shared-CPU/NIC arbitration).
 #include "bench/bench_common.h"
 
 #include <algorithm>
@@ -43,6 +45,8 @@
 using namespace thinc;
 
 namespace {
+
+using bench::Json;
 
 // Per-session screens are small (a fleet host serves many modest desktops;
 // also keeps the N=64 point affordable).
@@ -76,27 +80,6 @@ LinkParams CpuBoundNic() {
 // open-loop clicks, oversubscribed runs queue without bound and blow past
 // it by seconds.
 constexpr double kCpuKneeMs = 1000.0;
-
-int PagesPerSession() {
-  const char* env = std::getenv("THINC_FLEET_PAGES");
-  if (env != nullptr && std::atoi(env) > 0) {
-    return std::atoi(env);
-  }
-  return 6;
-}
-
-std::vector<int> CapSizes(std::vector<int> sizes) {
-  const char* env = std::getenv("THINC_FLEET_MAX_N");
-  if (env != nullptr && std::atoi(env) > 0) {
-    const int max_n = std::atoi(env);
-    std::erase_if(sizes, [max_n](int n) { return n > max_n; });
-  }
-  return sizes;
-}
-
-std::vector<int> SweepSizes() { return CapSizes({1, 4, 16, 64}); }
-// Bracketing the expected K=1 (~6) and K=2 (~11) CPU knees.
-std::vector<int> CpuSweepSizes() { return CapSizes({1, 2, 4, 6, 8, 12}); }
 
 double Ms(int64_t us) { return static_cast<double>(us) / kMillisecond; }
 
@@ -355,35 +338,27 @@ void PrintVideoRow(const VideoRun& r) {
   std::fflush(stdout);
 }
 
-void WriteWebRunJson(std::FILE* f, const WebRun& r) {
-  std::fprintf(f,
-               "      {\"n\": %d, \"cores\": %d, \"ladder\": %s, \"p95_ms\": %.3f, "
-               "\"median_session_p95_ms\": %.3f, \"worst_session_p95_ms\": "
-               "%.3f, \"updates_completed\": %lld, \"updates_evicted\": %lld, "
-               "\"wire_bytes\": %lld, \"end_vtime_us\": %lld, "
-               "\"host_cpu_busy_us\": %lld, \"max_degrade_level\": %d, "
-               "\"degradations\": %lld}",
-               r.n, r.cores, r.ladder ? "true" : "false", r.pooled_p95_ms,
-               r.median_session_p95_ms, r.worst_session_p95_ms,
-               static_cast<long long>(r.spans_completed),
-               static_cast<long long>(r.spans_evicted),
-               static_cast<long long>(r.wire_bytes),
-               static_cast<long long>(r.end_vtime),
-               static_cast<long long>(r.host_cpu_busy), r.max_degrade_level,
-               static_cast<long long>(r.degradations));
+Json WebRunJson(const WebRun& r) {
+  return Json::Object(
+      {{"n", r.n}, {"cores", r.cores}, {"ladder", r.ladder},
+       {"p95_ms", Json::Fixed(r.pooled_p95_ms, 3)},
+       {"median_session_p95_ms", Json::Fixed(r.median_session_p95_ms, 3)},
+       {"worst_session_p95_ms", Json::Fixed(r.worst_session_p95_ms, 3)},
+       {"updates_completed", r.spans_completed}, {"updates_evicted", r.spans_evicted},
+       {"wire_bytes", r.wire_bytes}, {"end_vtime_us", r.end_vtime},
+       {"host_cpu_busy_us", r.host_cpu_busy}, {"max_degrade_level", r.max_degrade_level},
+       {"degradations", r.degradations}});
 }
 
-void WriteVideoRunJson(std::FILE* f, const VideoRun& r) {
-  std::fprintf(f,
-               "      {\"n\": %d, \"ladder\": %s, \"median_session_p95_ms\": "
-               "%.3f, \"worst_session_p95_ms\": %.3f, \"delivered_fraction\": "
-               "%.4f, \"frames_emitted\": %d, \"frames_delivered\": %d, "
-               "\"frames_decimated\": %lld, \"wire_bytes\": %lld, "
-               "\"max_degrade_level\": %d}",
-               r.n, r.ladder ? "true" : "false", r.median_session_p95_ms,
-               r.worst_session_p95_ms, r.delivered_fraction, r.frames_emitted,
-               r.frames_delivered, static_cast<long long>(r.frames_decimated),
-               static_cast<long long>(r.wire_bytes), r.max_degrade_level);
+Json VideoRunJson(const VideoRun& r) {
+  return Json::Object(
+      {{"n", r.n}, {"ladder", r.ladder},
+       {"median_session_p95_ms", Json::Fixed(r.median_session_p95_ms, 3)},
+       {"worst_session_p95_ms", Json::Fixed(r.worst_session_p95_ms, 3)},
+       {"delivered_fraction", Json::Fixed(r.delivered_fraction, 4)},
+       {"frames_emitted", r.frames_emitted}, {"frames_delivered", r.frames_delivered},
+       {"frames_decimated", r.frames_decimated}, {"wire_bytes", r.wire_bytes},
+       {"max_degrade_level", r.max_degrade_level}});
 }
 
 // --- Smoke gate (scripts/check.sh) -------------------------------------------
@@ -415,8 +390,8 @@ int main(int argc, char** argv) {
   if (argc > 1 && std::strcmp(argv[1], "--smoke") == 0) {
     return RunSmoke();
   }
-  const int pages = PagesPerSession();
-  const std::vector<int> sizes = SweepSizes();
+  const int pages = bench::EnvPositiveInt("THINC_FLEET_PAGES", 6);
+  const std::vector<int> sizes = bench::TrimAbove({1, 4, 16, 64}, "THINC_FLEET_MAX_N");
 
   bench::PrintHeader(
       "Fleet capacity: sessions per host, shared CPU + shared NIC",
@@ -486,7 +461,8 @@ int main(int argc, char** argv) {
               "median_sess_p95", "worst_sess_p95", "updates");
   std::vector<WebRun> cpu_runs;
   for (int cores : {1, 2}) {
-    for (int n : CpuSweepSizes()) {
+    // Bracketing the expected K=1 (~6) and K=2 (~11) CPU knees.
+    for (int n : bench::TrimAbove({1, 2, 4, 6, 8, 12}, "THINC_FLEET_MAX_N")) {
       WebRun r = RunWebFleet(n, /*ladder=*/false, spans_only, pages,
                              /*trace_path=*/nullptr, cores, kCpuBoundSpeed,
                              CpuBoundNic());
@@ -498,17 +474,10 @@ int main(int argc, char** argv) {
       cpu_runs.push_back(std::move(r));
     }
   }
-  auto cpu_knee = [&cpu_runs](int cores) {
-    int best = 0;
-    for (const WebRun& r : cpu_runs) {
-      if (r.cores == cores && r.pooled_p95_ms <= kCpuKneeMs) {
-        best = std::max(best, r.n);
-      }
-    }
-    return best;
-  };
-  const int knee_k1 = cpu_knee(1);
-  const int knee_k2 = cpu_knee(2);
+  const int knee_k1 =
+      bench::Knee(cpu_runs, kCpuKneeMs, [](const WebRun& r) { return r.cores == 1; });
+  const int knee_k2 =
+      bench::Knee(cpu_runs, kCpuKneeMs, [](const WebRun& r) { return r.cores == 2; });
   std::printf("CPU-bound knee (largest N with p95 <= %.0f ms): "
               "K=1 -> %d sessions, K=2 -> %d sessions\n",
               kCpuKneeMs, knee_k1, knee_k2);
@@ -526,46 +495,26 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::FILE* f = std::fopen("BENCH_fleet.json", "w");
-  if (f != nullptr) {
-    std::fprintf(f, "{\n  \"config\": {\"screen\": [%d, %d], "
-                 "\"pages_per_session\": %d, \"think_ms\": %lld, "
-                 "\"web_nic_bps\": %lld, \"video_nic_bps\": %lld},\n",
-                 kScreenW, kScreenH, pages,
-                 static_cast<long long>(kThink / kMillisecond),
-                 static_cast<long long>(WebNic().bandwidth_bps),
-                 static_cast<long long>(VideoNic().bandwidth_bps));
-    std::fprintf(f,
-                 "  \"demand\": {\"cpu_us_per_sec\": %.1f, "
-                 "\"nic_bytes_per_sec\": %lld},\n"
-                 "  \"predicted_capacity\": %d,\n",
-                 demand.cpu_us_per_sec,
-                 static_cast<long long>(demand.nic_bytes_per_sec), predicted);
-    std::fprintf(f, "  \"web\": {\n    \"sweep\": [\n");
-    for (size_t i = 0; i < web_runs.size(); ++i) {
-      WriteWebRunJson(f, web_runs[i]);
-      std::fprintf(f, i + 1 < web_runs.size() ? ",\n" : "\n");
-    }
-    std::fprintf(f,
-                 "    ]\n  },\n  \"cpu_bound\": {\n    \"cpu_speed\": %.2f, "
-                 "\"nic_bps\": %lld, \"knee_k1\": %d, \"knee_k2\": %d,\n"
-                 "    \"sweep\": [\n",
-                 kCpuBoundSpeed,
-                 static_cast<long long>(CpuBoundNic().bandwidth_bps), knee_k1,
-                 knee_k2);
-    for (size_t i = 0; i < cpu_runs.size(); ++i) {
-      WriteWebRunJson(f, cpu_runs[i]);
-      std::fprintf(f, i + 1 < cpu_runs.size() ? ",\n" : "\n");
-    }
-    std::fprintf(f, "    ]\n  },\n  \"video\": {\n    \"sweep\": [\n");
-    for (size_t i = 0; i < video_runs.size(); ++i) {
-      WriteVideoRunJson(f, video_runs[i]);
-      std::fprintf(f, i + 1 < video_runs.size() ? ",\n" : "\n");
-    }
-    std::fprintf(f, "    ]\n  }\n}\n");
-    std::fclose(f);
-    std::printf("\nwrote BENCH_fleet.json\n");
-  }
+  bench::Report report;
+  const Json screen = Json::Array().Push(kScreenW).Push(kScreenH);
+  report.Set("config", Json::Object({{"screen", screen}, {"pages_per_session", pages},
+                                     {"think_ms", kThink / kMillisecond},
+                                     {"web_nic_bps", WebNic().bandwidth_bps},
+                                     {"video_nic_bps", VideoNic().bandwidth_bps}}));
+  report.Set("demand",
+             Json::Object({{"cpu_us_per_sec", Json::Fixed(demand.cpu_us_per_sec, 1)},
+                           {"nic_bytes_per_sec", demand.nic_bytes_per_sec}}));
+  report.Set("predicted_capacity", predicted);
+  report.Set("web", Json::Object({{"sweep", Json::ArrayOf(web_runs, WebRunJson)}}));
+  report.Set("cpu_bound",
+             Json::Object({{"cpu_speed", Json::Fixed(kCpuBoundSpeed, 2)},
+                           {"nic_bps", CpuBoundNic().bandwidth_bps},
+                           {"knee_k1", knee_k1},
+                           {"knee_k2", knee_k2},
+                           {"sweep", Json::ArrayOf(cpu_runs, WebRunJson)}}));
+  report.Set("video", Json::Object({{"sweep", Json::ArrayOf(video_runs, VideoRunJson)}}));
+  std::printf("\n");
+  report.Write("BENCH_fleet.json");
   std::printf(
       "\nExpected shape: below the admission-predicted knee the ladder is\n"
       "inert and both rows match; beyond it, ladder-off p95 grows\n"

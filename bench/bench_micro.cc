@@ -3,9 +3,18 @@
 // the Fant resampler, and YUV conversion — plus a buffer-architecture
 // section that measures server-side data movement of the zero-copy buffers
 // over an offscreen-heavy web workload.
+//
+// After the timed benchmarks come two plain sections, which are all that
+// `--smoke` (scripts/check.sh) runs. The buffer section writes
+// BENCH_buffers.json; its one wall-clock field, commands_per_sec, is in the
+// `host` block. The telemetry section runs a web workload with every
+// telemetry facility off and again with all of them on, and THINC_CHECKs
+// that wire bytes, virtual end time and applied commands are identical:
+// "telemetry can never change results", end to end.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cstring>
 
 #include "bench/bench_common.h"
 #include "src/telemetry/telemetry.h"
@@ -424,14 +433,18 @@ void RunBufferSection() {
               zc.commands_per_sec, static_cast<long long>(zc.commands));
   bench::PrintBufferStats("", zc.stats);
 
-  std::FILE* f = std::fopen("BENCH_buffers.json", "w");
-  if (f != nullptr) {
-    std::fprintf(f, "{\n");
-    bench::WriteBufferStatsJson(f, "zero_copy", zc.stats, zc.commands_per_sec);
-    std::fprintf(f, "\n}\n");
-    std::fclose(f);
-    std::printf("wrote BENCH_buffers.json\n");
-  }
+  const BufferStats& s = zc.stats;
+  bench::Report report;
+  report.Set("zero_copy",
+             bench::Json::Object(
+                 {{"commands_per_sec", bench::Json::HostFixed(zc.commands_per_sec, 0)},
+                  {"allocations", s.allocations}, {"allocated_bytes", s.allocated_bytes},
+                  {"memcpy_calls", s.copies}, {"memcpy_bytes", s.copied_bytes},
+                  {"shares", s.shares}, {"cow_detaches", s.cow_detaches},
+                  {"arena_reuses", s.arena_reuses}, {"raw_encodes", s.raw_encodes},
+                  {"encode_cache_hits", s.payload_encode_hits + s.frame_cache_hits},
+                  {"peak_payload_bytes", s.peak_payload_bytes}}));
+  report.Write("BENCH_buffers.json");
 }
 
 // --- Telemetry overhead / zero-cost-when-off invariant ------------------------
@@ -505,11 +518,21 @@ void RunTelemetrySection() {
 }  // namespace thinc
 
 int main(int argc, char** argv) {
+  // --smoke runs only the sections below, not the timed benchmarks; the
+  // flag is stripped before google-benchmark parses the rest.
+  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
+  if (smoke) {
+    argv[1] = argv[0];
+    ++argv;
+    --argc;
+  }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
     return 1;
   }
-  benchmark::RunSpecifiedBenchmarks();
+  if (!smoke) {
+    benchmark::RunSpecifiedBenchmarks();
+  }
   benchmark::Shutdown();
   thinc::RunBufferSection();
   thinc::RunTelemetrySection();

@@ -22,13 +22,14 @@
 // order equal FIFO-at-same-time), not just go faster. A final section runs a
 // real web fleet and reports end-to-end simulated events/sec.
 //
-// Emits BENCH_simcore.json. `--smoke` (scripts/check.sh) asserts transcript
-// identity and that the heap clears >= 2x the map's events/sec on the
-// cancel-heavy workload.
+// Emits BENCH_simcore.json; its events/sec, speedup and wall_ms fields are
+// wall-clock and sit in the `host` block. `--smoke` (scripts/check.sh)
+// asserts that the heap fires the exact transcript of the std::map baseline
+// on the churn and cancel-heavy workloads, and clears >= 2x the map's
+// events/sec when cancels dominate.
 #include "bench/bench_common.h"
 
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <map>
@@ -41,6 +42,8 @@
 
 namespace thinc {
 namespace {
+
+using bench::Json;
 
 // --- The pre-heap EventLoop queue, preserved as the baseline -----------------
 //
@@ -314,14 +317,8 @@ int main(int argc, char** argv) {
               "wall_ms", "events/s");
   // Hundreds-scale by default; THINC_SIMCORE_MAX_N trims the tail on
   // constrained CI runners.
-  std::vector<int> fleet_sizes = {4, 16, 64, 256};
-  if (const char* env = std::getenv("THINC_SIMCORE_MAX_N");
-      env != nullptr && std::atoi(env) > 0) {
-    const int max_n = std::atoi(env);
-    std::erase_if(fleet_sizes, [max_n](int n) { return n > max_n; });
-  }
   std::vector<FleetRate> rates;
-  for (int n : fleet_sizes) {
+  for (int n : bench::TrimAbove({4, 16, 64, 256}, "THINC_SIMCORE_MAX_N")) {
     FleetRate r = RunFleetSweep(n, /*pages=*/3);
     std::printf("%4d %12llu %12llu %10.1f %14.0f\n", r.n,
                 static_cast<unsigned long long>(r.fired),
@@ -330,34 +327,23 @@ int main(int argc, char** argv) {
     rates.push_back(r);
   }
 
-  std::FILE* f = std::fopen("BENCH_simcore.json", "w");
-  if (f != nullptr) {
-    std::fprintf(f, "{\n  \"queue\": {\n    \"sweep\": [\n");
-    for (size_t i = 0; i < comparisons.size(); ++i) {
-      const Comparison& c = comparisons[i];
-      std::fprintf(f,
-                   "      {\"workload\": \"%s\", \"pending\": %d, \"ops\": "
-                   "%llu, \"map_events_per_sec\": %.0f, "
-                   "\"heap_events_per_sec\": %.0f, \"speedup\": %.2f}%s\n",
-                   c.workload, c.pending,
-                   static_cast<unsigned long long>(c.heap.ops),
-                   c.map.events_per_sec, c.heap.events_per_sec, c.speedup,
-                   i + 1 < comparisons.size() ? "," : "");
-    }
-    std::fprintf(f, "    ]\n  },\n  \"fleet\": {\n    \"sweep\": [\n");
-    for (size_t i = 0; i < rates.size(); ++i) {
-      const FleetRate& r = rates[i];
-      std::fprintf(f,
-                   "      {\"n\": %d, \"fired\": %llu, \"cancelled\": %llu, "
-                   "\"wall_ms\": %.1f, \"events_per_sec\": %.0f}%s\n",
-                   r.n, static_cast<unsigned long long>(r.fired),
-                   static_cast<unsigned long long>(r.cancelled), r.wall_ms,
-                   r.events_per_sec, i + 1 < rates.size() ? "," : "");
-    }
-    std::fprintf(f, "    ]\n  }\n}\n");
-    std::fclose(f);
-    std::printf("\nwrote BENCH_simcore.json\n");
-  }
+  Json queue = Json::ArrayOf(comparisons, [](const Comparison& c) {
+    return Json::Object(
+        {{"workload", c.workload}, {"pending", c.pending}, {"ops", c.heap.ops},
+         {"map_events_per_sec", Json::HostFixed(c.map.events_per_sec, 0)},
+         {"heap_events_per_sec", Json::HostFixed(c.heap.events_per_sec, 0)},
+         {"speedup", Json::HostFixed(c.speedup, 2)}});
+  });
+  Json fleet = Json::ArrayOf(rates, [](const FleetRate& r) {
+    return Json::Object({{"n", r.n}, {"fired", r.fired}, {"cancelled", r.cancelled},
+                         {"wall_ms", Json::HostFixed(r.wall_ms, 1)},
+                         {"events_per_sec", Json::HostFixed(r.events_per_sec, 0)}});
+  });
+  bench::Report report;
+  report.Set("queue", Json::Object({{"sweep", queue}}));
+  report.Set("fleet", Json::Object({{"sweep", fleet}}));
+  std::printf("\n");
+  report.Write("BENCH_simcore.json");
   std::printf(
       "\nExpected shape: churn speedup near or above 1x (flat-vector sifts\n"
       "vs a malloc and rebalance per event); cancel-heavy speedup grows with\n"

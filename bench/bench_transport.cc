@@ -21,7 +21,8 @@
 //
 // Emits BENCH_transport.json. `--smoke` runs the scripts/check.sh gate: a
 // short co-located web run THINC_CHECKing that the loopback delivered
-// frame payload by reference (payload bytes > 0, memcpy'd payload == 0).
+// frame payload by reference (payload bytes > 0, memcpy'd payload == 0:
+// the zero-copy handoff gate).
 #include "bench/bench_common.h"
 
 #include <algorithm>
@@ -38,6 +39,8 @@
 using namespace thinc;
 
 namespace {
+
+using bench::Json;
 
 int64_t LoopbackCounter(const char* name) {
   return MetricsRegistry::Get().GetCounter(name)->value();
@@ -188,26 +191,6 @@ FleetRun RunMixedFleet(int n, int locals, int pages_per_session) {
   return r;
 }
 
-std::vector<int> SweepSizes() {
-  std::vector<int> sizes = {2, 4, 6, 8, 12, 16};
-  const char* env = std::getenv("THINC_FLEET_MAX_N");
-  if (env != nullptr && std::atoi(env) > 0) {
-    const int max_n = std::atoi(env);
-    std::erase_if(sizes, [max_n](int s) { return s > max_n; });
-  }
-  return sizes;
-}
-
-int Knee(const std::vector<FleetRun>& runs, bool mixed) {
-  int best = 0;
-  for (const FleetRun& r : runs) {
-    if ((r.locals > 0) == mixed && r.pooled_p95_ms <= kKneeMs) {
-      best = std::max(best, r.n);
-    }
-  }
-  return best;
-}
-
 // --- Smoke gate (scripts/check.sh) -------------------------------------------
 
 int RunSmoke() {
@@ -268,7 +251,7 @@ int main(int argc, char** argv) {
               "nic_bytes", "loopback_bytes", "host_cpu_ms");
   const int fleet_pages = 3;
   std::vector<FleetRun> runs;
-  for (int n : SweepSizes()) {
+  for (int n : bench::TrimAbove({2, 4, 6, 8, 12, 16}, "THINC_FLEET_MAX_N")) {
     for (int locals : {0, n / 2}) {
       FleetRun r = RunMixedFleet(n, locals, fleet_pages);
       std::printf("%4d %7d %14.1f %14lld %16lld %12.1f\n", r.n, r.locals,
@@ -279,8 +262,10 @@ int main(int argc, char** argv) {
       runs.push_back(std::move(r));
     }
   }
-  const int knee_remote = Knee(runs, /*mixed=*/false);
-  const int knee_mixed = Knee(runs, /*mixed=*/true);
+  const int knee_remote = bench::Knee(
+      runs, kKneeMs, [](const FleetRun& r) { return r.locals == 0; });
+  const int knee_mixed = bench::Knee(
+      runs, kKneeMs, [](const FleetRun& r) { return r.locals > 0; });
   std::printf("capacity knee (largest N with pooled p95 <= %.0f ms): "
               "all-remote -> %d sessions, half-local -> %d sessions\n",
               kKneeMs, knee_remote, knee_mixed);
@@ -288,51 +273,32 @@ int main(int argc, char** argv) {
                   "half-local fleet must out-scale all-remote on a NIC-bound "
                   "host: local sessions are supposed to bypass the NIC");
 
-  std::FILE* f = std::fopen("BENCH_transport.json", "w");
-  if (f != nullptr) {
-    std::fprintf(f, "{\n  \"colocated_web\": {\n    \"pages\": %d,\n", pages);
-    std::fprintf(f,
-                 "    \"wire\": {\"latency_ms\": %.3f, \"page_kb\": %.3f, "
-                 "\"server_cpu_us\": %lld, \"copied_bytes\": %lld},\n",
-                 wire.web.AvgLatencyMs(false), wire.web.AvgPageKb(),
-                 static_cast<long long>(wire.server_cpu_busy),
-                 static_cast<long long>(wire.copied_bytes));
-    std::fprintf(f,
-                 "    \"loopback\": {\"latency_ms\": %.3f, \"page_kb\": %.3f, "
-                 "\"server_cpu_us\": %lld, \"copied_bytes\": %lld, "
-                 "\"handoffs\": %lld, \"payload_bytes\": %lld, "
-                 "\"payload_copied_bytes\": %lld}\n  },\n",
-                 local.web.AvgLatencyMs(false), local.web.AvgPageKb(),
-                 static_cast<long long>(local.server_cpu_busy),
-                 static_cast<long long>(local.copied_bytes),
-                 static_cast<long long>(local.handoffs),
-                 static_cast<long long>(local.payload_bytes),
-                 static_cast<long long>(local.payload_copied_bytes));
-    std::fprintf(f,
-                 "  \"fleet\": {\n    \"nic_bps\": %lld, \"pages_per_session\": "
-                 "%d, \"knee_all_remote\": %d, \"knee_half_local\": %d,\n"
-                 "    \"sweep\": [\n",
-                 static_cast<long long>(FleetNic().bandwidth_bps), fleet_pages,
-                 knee_remote, knee_mixed);
-    for (size_t i = 0; i < runs.size(); ++i) {
-      const FleetRun& r = runs[i];
-      std::fprintf(f,
-                   "      {\"n\": %d, \"locals\": %d, \"p95_ms\": %.3f, "
-                   "\"nic_bytes\": %lld, \"loopback_bytes\": %lld, "
-                   "\"host_cpu_busy_us\": %lld, \"end_vtime_us\": %lld, "
-                   "\"updates_completed\": %lld}%s\n",
-                   r.n, r.locals, r.pooled_p95_ms,
-                   static_cast<long long>(r.wire_bytes),
-                   static_cast<long long>(r.loopback_bytes),
-                   static_cast<long long>(r.host_cpu_busy),
-                   static_cast<long long>(r.end_vtime),
-                   static_cast<long long>(r.spans_completed),
-                   i + 1 < runs.size() ? "," : "");
-    }
-    std::fprintf(f, "    ]\n  }\n}\n");
-    std::fclose(f);
-    std::printf("\nwrote BENCH_transport.json\n");
-  }
+  auto arm = [](const ColocatedArm& a) {
+    return Json::Object({{"latency_ms", Json::Fixed(a.web.AvgLatencyMs(false), 3)},
+                         {"page_kb", Json::Fixed(a.web.AvgPageKb(), 3)},
+                         {"server_cpu_us", a.server_cpu_busy},
+                         {"copied_bytes", a.copied_bytes}});
+  };
+  Json loopback = arm(local)
+                      .Set("handoffs", local.handoffs)
+                      .Set("payload_bytes", local.payload_bytes)
+                      .Set("payload_copied_bytes", local.payload_copied_bytes);
+  Json sweep = Json::ArrayOf(runs, [](const FleetRun& r) {
+    return Json::Object(
+        {{"n", r.n}, {"locals", r.locals}, {"p95_ms", Json::Fixed(r.pooled_p95_ms, 3)},
+         {"nic_bytes", r.wire_bytes}, {"loopback_bytes", r.loopback_bytes},
+         {"host_cpu_busy_us", r.host_cpu_busy}, {"end_vtime_us", r.end_vtime},
+         {"updates_completed", r.spans_completed}});
+  });
+  bench::Report report;
+  report.Set("colocated_web", Json::Object({{"pages", pages}, {"wire", arm(wire)},
+                                            {"loopback", loopback}}));
+  report.Set("fleet", Json::Object({{"nic_bps", FleetNic().bandwidth_bps},
+                                    {"pages_per_session", fleet_pages},
+                                    {"knee_all_remote", knee_remote},
+                                    {"knee_half_local", knee_mixed}, {"sweep", sweep}}));
+  std::printf("\n");
+  report.Write("BENCH_transport.json");
   std::printf(
       "\nExpected shape: loopback pages arrive with zero payload memcpys and\n"
       "no wire serialization; in the fleet, half-local halves NIC load so the\n"
